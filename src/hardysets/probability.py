@@ -8,12 +8,18 @@ construction; :func:`verify_axioms` turns that structural fact into
 executable evidence by sweeping events and checking the field and
 measure axioms directly.
 
-No floating point is used anywhere in this module; probabilities are
-:class:`fractions.Fraction` values and all comparisons are exact.
+The measure is stored once as integer numerators over the least common
+denominator L of the weights, so every exact value in the triple is
+s/L for an integer mass s. Sums, bounds and comparisons run on the
+integers (:func:`mass`, :func:`all_event_masses`, ``0 <= s <= L``);
+:class:`fractions.Fraction` appears only at the API boundary, where
+``weights``, :func:`prob` and :func:`all_event_probabilities` return
+exact rationals. No floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +38,14 @@ __all__ = [
     "ProbabilityTriple",
     "SampleSpaceTooLarge",
     "UnionClosureCheck",
+    "all_event_masses",
     "all_event_probabilities",
     "complement",
     "event_from_set",
     "field_size_log2",
     "full_event",
     "intersect_events",
+    "mass",
     "prob",
     "uniform_triple",
     "union_events",
@@ -48,6 +56,21 @@ __all__ = [
 _MAX_EXHAUSTIVE_OMEGA = 24
 # Bound for enumerating every event probability (2^n exact sums).
 _MAX_EXHAUSTIVE_MEASURE = 16
+# mass() looks events up this many elements at a time.
+_CHUNK_BITS = 8
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+
+def _subset_sums(numerators: Sequence[int]) -> list[int]:
+    """Sum of the numerators selected by each bitmask, indexed by bitmask.
+
+    One integer addition per entry: the masks with bit i set are those
+    below 2^i plus numerator i.
+    """
+    table = [0]
+    for w in numerators:
+        table += [s + w for s in table]
+    return table
 
 
 class DuplicateElement(ValueError):
@@ -89,10 +112,11 @@ class ProbabilityTriple:
     Elements are sorted into canonical order at construction; events are
     bitmasks over that order. Only the uniform constructor is used by
     the Hardy model, but arbitrary non-negative exact weights summing to
-    one are accepted.
+    one are accepted. Each weight is also kept as an integer numerator
+    over ``denominator``, the least common denominator of all weights.
     """
 
-    __slots__ = ("_omega", "_weights", "_index")
+    __slots__ = ("_omega", "_weights", "_numerators", "_denominator", "_chunk_masses", "_index")
 
     def __init__(self, elements: Iterable[HfSet], weights: Iterable[Fraction | int]) -> None:
         elems = tuple(elements)
@@ -122,11 +146,21 @@ class ProbabilityTriple:
         for _, w in pairs:
             if w < 0:
                 raise ValueError("weights must be non-negative")
-        total = sum(w for _, w in pairs)
-        if total != 1:
-            raise ValueError(f"weights must sum to exactly 1, got {total}")
+        denominator = math.lcm(*(w.denominator for _, w in pairs))
+        numerators = tuple(w.numerator * (denominator // w.denominator) for _, w in pairs)
+        total = sum(numerators)
+        if total != denominator:
+            raise ValueError(
+                f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
+            )
         self._omega = tuple(e for e, _ in pairs)
         self._weights = tuple(w for _, w in pairs)
+        self._numerators = numerators
+        self._denominator = denominator
+        self._chunk_masses = tuple(
+            _subset_sums(numerators[i : i + _CHUNK_BITS])
+            for i in range(0, len(numerators), _CHUNK_BITS)
+        )
         self._index = {e: i for i, e in enumerate(self._omega)}
 
     @property
@@ -136,6 +170,11 @@ class ProbabilityTriple:
     @property
     def weights(self) -> tuple[Fraction, ...]:
         return self._weights
+
+    @property
+    def denominator(self) -> int:
+        """L: every weight, and so every event probability, is an integer mass over L."""
+        return self._denominator
 
     @property
     def size(self) -> int:
@@ -224,16 +263,20 @@ def event_from_set(s: HfSet, t: ProbabilityTriple) -> Event:
     return Event(mask)
 
 
+def mass(e: Event, t: ProbabilityTriple) -> int:
+    """Integer mass of an event: the sum of its weight numerators over ``t.denominator``."""
+    _check_event(e, t)
+    total = 0
+    mask = e.mask
+    for sums in t._chunk_masses:
+        total += sums[mask & _CHUNK_MASK]
+        mask >>= _CHUNK_BITS
+    return total
+
+
 def prob(e: Event, t: ProbabilityTriple) -> Fraction:
     """Exact probability of an event: the sum of its element weights."""
-    _check_event(e, t)
-    total = Fraction(0)
-    mask = e.mask
-    while mask:
-        lsb = mask & -mask
-        total += t.weights[lsb.bit_length() - 1]
-        mask ^= lsb
-    return total
+    return Fraction(mass(e, t), t.denominator)
 
 
 def complement(e: Event, t: ProbabilityTriple) -> Event:
@@ -254,24 +297,29 @@ def field_size_log2(t: ProbabilityTriple) -> int:
     return t.size
 
 
-def all_event_probabilities(t: ProbabilityTriple) -> list[Fraction]:
-    """Exact probability of every event, indexed by bitmask.
+def all_event_masses(t: ProbabilityTriple) -> list[int]:
+    """Integer mass of every event over ``t.denominator``, indexed by bitmask.
 
-    Computed by one exact addition per event (dynamic programming over
-    the lowest set bit). Bounded to small spaces because the table has
-    2^|omega| entries.
+    One integer addition per event. Bounded to small spaces because the
+    table has 2^|omega| entries.
     """
     n = t.size
     if n > _MAX_EXHAUSTIVE_MEASURE:
         raise SampleSpaceTooLarge(
             f"|omega| = {n} exceeds the exhaustive measure bound {_MAX_EXHAUSTIVE_MEASURE}"
         )
-    weights = t.weights
-    table = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        lsb = mask & -mask
-        table[mask] = table[mask ^ lsb] + weights[lsb.bit_length() - 1]
-    return table
+    return _subset_sums(t._numerators)
+
+
+def all_event_probabilities(t: ProbabilityTriple) -> list[Fraction]:
+    """Exact probability of every event, indexed by bitmask.
+
+    Each distinct value is built once and shared: a uniform measure has
+    only |omega| + 1 of them.
+    """
+    masses = all_event_masses(t)
+    values = {s: Fraction(s, t.denominator) for s in set(masses)}
+    return [values[s] for s in masses]
 
 
 @dataclass(frozen=True)
@@ -331,8 +379,9 @@ def verify_axioms(t: ProbabilityTriple, union_samples: int, seed: int) -> AxiomR
     Complement closure and membership of the whole space are checked
     exhaustively over all 2^|omega| events (hence the size bound); union
     closure is checked on seeded random pairs; measure bounds are
-    exhaustive for |omega| <= 16 and sampled beyond that; total mass is
-    compared to 1 exactly. Deterministic given (union_samples, seed).
+    exhaustive for |omega| <= 16 and sampled beyond that, as integer
+    masses 0 <= s <= L; total mass is compared to L exactly.
+    Deterministic given (union_samples, seed).
     """
     n = t.size
     if n > _MAX_EXHAUSTIVE_OMEGA:
@@ -371,20 +420,17 @@ def verify_axioms(t: ProbabilityTriple, union_samples: int, seed: int) -> AxiomR
                 break
     union_closure = UnionClosureCheck(union_samples, seed, tuple(union_failures))
 
-    measure_bounds = True
+    denominator = t.denominator
     if n <= _MAX_EXHAUSTIVE_MEASURE:
-        for p in all_event_probabilities(t):
-            if p < 0 or p > 1:
-                measure_bounds = False
-                break
+        masses = all_event_masses(t)
+        measure_bounds = min(masses) >= 0 and max(masses) <= denominator
     else:
-        for _ in range(union_samples):
-            p = prob(Event(rng.getrandbits(n)), t)
-            if p < 0 or p > 1:
-                measure_bounds = False
-                break
+        measure_bounds = all(
+            0 <= mass(Event(rng.getrandbits(n)), t) <= denominator
+            for _ in range(union_samples)
+        )
 
-    total_mass_is_one = sum(t.weights, Fraction(0)) == 1
+    total_mass_is_one = sum(t._numerators) == denominator
 
     return AxiomReport(
         omega_in_field=omega_in_field,

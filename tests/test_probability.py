@@ -30,7 +30,7 @@ from hardysets import (
     von_neumann,
     zermelo,
 )
-from hardysets.probability import all_event_probabilities
+from hardysets.probability import all_event_masses, all_event_probabilities, mass
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,43 @@ def test_nonuniform_weights_supported():
     t = ProbabilityTriple(elems, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     assert prob(full_event(t), t) == 1
     assert sorted(t.weights) == [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize(
+    "weights, denominator",
+    [
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)), 6),
+        ((Fraction(1, 4), Fraction(1, 4), Fraction(1, 6), Fraction(1, 3)), 12),
+    ],
+    ids=["L=6", "L=12"],
+)
+def test_mixed_denominators_match_fraction_sums(weights, denominator):
+    elems = distinct_elements(len(weights))
+    t = ProbabilityTriple(elems, weights)
+    assert t.denominator == denominator
+    for e, w in zip(elems, weights):
+        stored = t.weights[t.index_of(e)]
+        assert type(stored) is Fraction and stored == w
+    table = all_event_probabilities(t)
+    masses = all_event_masses(t)
+    for m in range(t.full_mask + 1):
+        expected = sum((w for i, w in enumerate(t.weights) if m >> i & 1), Fraction(0))
+        assert prob(Event(m), t) == expected
+        assert table[m] == expected
+        assert Fraction(mass(Event(m), t), denominator) == expected
+        assert Fraction(masses[m], denominator) == expected
+
+
+@pytest.mark.parametrize(
+    "last, total",
+    [(Fraction(1, 4), "11/12"), (Fraction(5, 12), "13/12")],
+    ids=["L-1", "L+1"],
+)
+def test_numerators_off_by_one_rejected(last, total):
+    # Numerators over L = 12 are 3, 3, 2 and then 3 or 5: they sum to L - 1 or L + 1.
+    weights = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 6), last]
+    with pytest.raises(ValueError, match=f"sum to exactly 1, got {total}$"):
+        ProbabilityTriple(distinct_elements(4), weights)
 
 
 def test_event_from_set_examples(hardy_triple):
