@@ -33,14 +33,14 @@ from .probability import (
     event_from_set,
     intersect_events,
     mass,
-    prob,
     verify_axioms,
 )
 from .hardy import (
     AtomQuadruple,
-    annihilate,
     build_model,
     distinctness_diagnostic,
+    hardy_probability,
+    intersection_identity_check,
 )
 from .quantum import (
     DEFAULT_CONVENTION,
@@ -247,9 +247,9 @@ def check_quadruples(seed: int = 42, trials: int = 1000) -> CheckOutcome:
             and intersect(model.hidden_a, model.c_set) == model.hidden_a
             and intersect(model.hidden_b, model.d_set) == model.hidden_b
         )
-        joint = intersect(annihilate(model.hidden_a), annihilate(model.hidden_b))
-        p = prob(event_from_set(joint, model.triple), model.triple)
-        identity_ok = joint == zermelo(2, atom(labels[0]))
+        result = hardy_probability(model)
+        p = result.probability
+        identity_ok = intersection_identity_check(model, result)
         if not (result_ok and identity_ok and p == Fraction(1, 16)):
             failures += 1
             out.fail(f"trial {trial}: labels {labels} p={p} identity={identity_ok}")
@@ -329,8 +329,7 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     )
 
     model = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3)
-    joint = intersect(annihilate(model.hidden_a), annihilate(model.hidden_b))
-    p_classical = prob(event_from_set(joint, model.triple), model.triple)
+    p_classical = hardy_probability(model).probability
     out.expect(p_classical == Fraction(1, 16), "exact model probability == 1/16")
     out.expect(
         abs(dist.p("d", "d") - float(p_classical)) <= _QUANTUM_TOL,

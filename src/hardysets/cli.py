@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every performed check passes, 1 when a check fails,
 2 on usage errors (bad flags, malformed expressions, invalid atom
-quadruples).
+quadruples) and on values nested too deeply to process.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .hfset import (
     empty,
     intersect,
     monadic_union,
+    parse_set_prefix,
     print_set,
     unite,
 )
 from .numerals import numeral
-from .probability import SampleSpaceTooLarge, verify_axioms
+from .probability import SampleSpaceTooLarge, field_size_log2, verify_axioms
 from .hardy import (
     AtomQuadruple,
     NonDistinctAtoms,
@@ -90,7 +91,11 @@ class _ExprParser:
         self._skip_ws()
         start = self.pos
         if self._at("{") or self._at("∅"):
-            return ("value", self.parse_set_literal(), start)
+            try:
+                value, self.pos = parse_set_prefix(self.text, self.pos)
+            except ParseError as exc:
+                raise ExpressionError(exc.byte_offset, f"expected {exc.expected}") from exc
+            return ("value", value, start)
         m = _NUMBER.match(self.text, self.pos)
         if m:
             self.pos = m.end()
@@ -121,38 +126,6 @@ class _ExprParser:
                     self.fail("expected ',' or ')'")
             return ("call", name, args, start)
         return ("value", atom(name), start)
-
-    def parse_set_literal(self) -> HfSet:
-        if self._at("∅"):
-            self.pos += 1
-            return empty()
-        # delegate to braces: members are literals or identifiers, recursively
-        self.pos += 1  # consume '{'
-        self._skip_ws()
-        if self._at("}"):
-            self.pos += 1
-            return empty()
-        members = [self.parse_literal_elem()]
-        while True:
-            self._skip_ws()
-            if self._at(","):
-                self.pos += 1
-                members.append(self.parse_literal_elem())
-                continue
-            if self._at("}"):
-                self.pos += 1
-                return HfSet(children=members)
-            self.fail("expected ',' or '}'")
-
-    def parse_literal_elem(self) -> HfSet:
-        self._skip_ws()
-        if self._at("{") or self._at("∅"):
-            return self.parse_set_literal()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a set or an atom identifier")
-        self.pos = m.end()
-        return atom(m.group())
 
 
 def _eval_node(node, parser: _ExprParser):
@@ -237,8 +210,8 @@ def build_reproduction_report(labels, depth: int) -> dict:
             f"skipped: |omega| = {model.triple.size} exceeds the exhaustive sweep bound"
         )
 
-    membership = field_membership_report(model)
-    identity = intersection_identity_check(model)
+    membership = field_membership_report(model, result)
+    identity = intersection_identity_check(model, result)
     dist = run_double_mzi()
     p_dd = dist.p("d", "d")
     agreement = result.probability == Fraction(1, 16) and abs(p_dd - 0.0625) <= _QUANTUM_TOL
@@ -261,7 +234,7 @@ def build_reproduction_report(labels, depth: int) -> dict:
         "atoms": list(labels),
         "depth": depth,
         "omega_size": result.omega_size,
-        "field_size_log2": result.field_size_log2,
+        "field_size_log2": field_size_log2(model.triple),
         "c_d_disjoint": c_d_disjoint,
         "axiom_report": axiom_dict,
         "axiom_note": axiom_note,
@@ -333,7 +306,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_eval(args) -> int:
     try:
         value = evaluate_expression(args.expression)
-    except (ExpressionError, ParseError, AtomOperand, ValueError) as exc:
+    except (ExpressionError, AtomOperand, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(value, int):
@@ -466,6 +439,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SampleSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            "error: value is nested too deeply "
+            f"(Python recursion limit {sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 2
 
 

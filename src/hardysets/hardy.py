@@ -113,7 +113,6 @@ class HardyResult:
     joint_event: Event
     probability: Fraction
     omega_size: int
-    field_size_log2: int
 
 
 @dataclass(frozen=True)
@@ -208,38 +207,35 @@ def hardy_probability(m: HardyModel) -> HardyResult:
         joint_event=joint_event,
         probability=probability,
         omega_size=m.triple.size,
-        field_size_log2=m.triple.size,
     )
 
 
-def intersection_identity_check(m: HardyModel) -> bool:
+def intersection_identity_check(m: HardyModel, result: HardyResult) -> bool:
     """True iff the joint residue equals the level-2 Zermelo numeral of x1.
 
-    Holds at depth 3, where the residues are the level-2 numerals of x1
-    and their intersection is {{x1}}; false at other depths (the joint
-    residue is empty at depth >= 4 and is {x1} at depth 2).
+    ``result`` is ``hardy_probability(m)``. Holds at depth 3, where the
+    residues are the level-2 numerals of x1 and their intersection is
+    {{x1}}; false at other depths (the joint residue is empty at depth
+    >= 4 and is {x1} at depth 2).
     """
-    joint = intersect(annihilate(m.hidden_a), annihilate(m.hidden_b))
-    return joint == zermelo(2, atom(m.quad.x1))
+    return result.joint_set == zermelo(2, atom(m.quad.x1))
 
 
-def field_membership_report(m: HardyModel) -> list[tuple[str, bool]]:
+def field_membership_report(m: HardyModel, result: HardyResult) -> list[tuple[str, bool]]:
     """Whether the model's distinguished sets denote events of the triple.
 
-    Probes the level-2 numerals of all four atoms, both annihilation
-    residues, and their intersection. Every entry is true for a depth-3
-    model.
+    ``result`` is ``hardy_probability(m)``. Probes the level-2 numerals
+    of all four atoms, both annihilation residues, and their
+    intersection. Every entry is true for a depth-3 model.
     """
-    annihilated_a = annihilate(m.hidden_a)
-    annihilated_b = annihilate(m.hidden_b)
     probes: list[tuple[str, HfSet]] = []
     for label in m.quad.labels:
         probes.append((f"vn(2,{label})", von_neumann(2, atom(label))))
     for label in m.quad.labels:
         probes.append((f"zm(2,{label})", zermelo(2, atom(label))))
-    probes.append(("munion(hidden_a)", annihilated_a))
-    probes.append(("munion(hidden_b)", annihilated_b))
-    probes.append(("joint", intersect(annihilated_a, annihilated_b)))
+    probes.append(("munion(hidden_a)", result.annihilated_a))
+    probes.append(("munion(hidden_b)", result.annihilated_b))
+    probes.append(("joint", result.joint_set))
 
     report = []
     for name, s in probes:

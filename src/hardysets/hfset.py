@@ -33,6 +33,7 @@ __all__ = [
     "member",
     "monadic_union",
     "parse_set",
+    "parse_set_prefix",
     "print_set",
     "rank",
     "set_of",
@@ -243,18 +244,31 @@ def parse_set(text: str) -> HfSet:
     ``{}`` and the character ``∅`` both denote the empty set; whitespace
     is insignificant. Raises :class:`ParseError` on malformed input.
     """
-    parser = _SetParser(text)
+    parser = _SetParser(text, 0)
     value = parser.parse_set()
     parser.expect_end()
     return value
 
 
+def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
+    """Parse one set literal starting at ``text[pos]``, after optional whitespace.
+
+    Returns the value and the position just past its closing brace (or
+    its ``∅``); what follows is left to the caller. Used by expression
+    readers that embed set literals. The ``byte_offset`` of a
+    :class:`ParseError` counts from the start of ``text``.
+    """
+    parser = _SetParser(text, pos)
+    value = parser.parse_set()
+    return value, parser.pos
+
+
 class _SetParser:
     __slots__ = ("text", "pos")
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, pos: int) -> None:
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -269,11 +283,15 @@ class _SetParser:
 
     def parse_set(self) -> HfSet:
         self._skip_ws()
-        if self._at("∅"):
+        if not (self._at("{") or self._at("∅")):
+            self.fail("'{' or '∅'")
+        return self._literal()
+
+    def _literal(self) -> HfSet:
+        # The cursor is on '{' or '∅'; whitespace before it is already skipped.
+        if self.text[self.pos] == "∅":
             self.pos += 1
             return _EMPTY
-        if not self._at("{"):
-            self.fail("'{' or '∅'")
         self.pos += 1
         self._skip_ws()
         if self._at("}"):
@@ -294,7 +312,7 @@ class _SetParser:
     def parse_elem(self) -> HfSet:
         self._skip_ws()
         if self._at("{") or self._at("∅"):
-            return self.parse_set()
+            return self._literal()
         m = _IDENT.match(self.text, self.pos)
         if m is None:
             self.fail("a set or an atom identifier")

@@ -82,10 +82,35 @@ def test_eval_examples(capsys):
     assert run(capsys, "eval", "card(vn(7,{}))") == (0, "7\n", "")
 
 
+# Exact stderr of malformed expressions: byte offsets are UTF-8 offsets into
+# the whole expression, also when the error lies inside a set literal.
+PARSE_ERRORS = [
+    ("{x1,", "error at byte 4: expected a set or an atom identifier"),
+    ("{x1 x2}", "error at byte 4: expected ',' or '}'"),
+    ("union({x1},{,})", "error at byte 12: expected a set or an atom identifier"),
+    ("{1}", "error at byte 1: expected a set or an atom identifier"),
+    # each '∅' is one character but three bytes
+    ("{∅, ∅ x}", "error at byte 10: expected ',' or '}'"),
+    ("union({x1}", "error at byte 10: expected ',' or ')'"),
+    ("{x1}}", "error at byte 4: expected end of input"),
+]
+
+
 def test_eval_parse_error_position(capsys):
-    code, _, err = run(capsys, "eval", "union({x1}")
+    for expression, message in PARSE_ERRORS:
+        code, out, err = run(capsys, "eval", expression)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), expression
+
+
+@pytest.mark.parametrize(
+    "expression", ["zm(600,a)", "{" * 600 + "a" + "}" * 600], ids=["zm-call", "brace-literal"]
+)
+def test_eval_deep_nesting_is_usage_error(capsys, expression):
+    code, out, err = run(capsys, "eval", expression)
     assert code == 2
-    assert "byte 10" in err
+    assert out == ""
+    assert err.startswith("error: value is nested too deeply")
+    assert "Traceback" not in err
 
 
 def test_eval_type_errors(capsys):

@@ -1,8 +1,10 @@
-"""Golden outputs: the machine report and the axioms check, pinned exactly.
+"""Golden outputs: the reproduce reports and the axioms check, pinned exactly.
 
 The files under ``golden/`` are the stdout of the commands named in
 each test. Every key of a machine report must match exactly, except the
-two floating-point quantum values, which are compared within 1e-12.
+two floating-point quantum values, which are compared within 1e-12. A
+text report prints those values rounded to 12 digits and must match
+byte for byte.
 """
 
 import json
@@ -27,6 +29,14 @@ def test_reproduce_machine_golden(capsys, depth):
     assert quantum.keys() == expected_quantum.keys() == {"p_gamma", "p_dd"}
     for key, value in expected_quantum.items():
         assert abs(quantum[key] - value) <= TOL
+
+
+# Depth 14 covers the skipped axiom sweep and a field of 2^60 events.
+@pytest.mark.parametrize("depth", [3, 14])
+def test_reproduce_text_golden(capsys, depth):
+    code = main(["reproduce", "--depth", str(depth), "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"reproduce-text-depth{depth}.txt").read_text()
 
 
 def test_check_axioms_golden(capsys):

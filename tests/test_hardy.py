@@ -34,7 +34,6 @@ def model():
 def test_depth_three_quantities(model):
     result = hardy_probability(model)
     assert result.omega_size == 16
-    assert result.field_size_log2 == 16
     assert result.probability == Fraction(1, 16)
     assert result.joint_event.count == 1
 
@@ -58,13 +57,14 @@ def test_annihilation_residues(model):
 def test_joint_set_is_level_two_zermelo(model):
     result = hardy_probability(model)
     assert result.joint_set == zermelo(2, atom("x1"))
-    assert intersection_identity_check(model)
+    assert intersection_identity_check(model, result)
 
 
 def test_identity_fails_at_other_depths():
-    assert not intersection_identity_check(build_model(STANDARD, 4))
+    m4 = build_model(STANDARD, 4)
+    assert not intersection_identity_check(m4, hardy_probability(m4))
     m2 = build_model(STANDARD, 2)
-    assert not intersection_identity_check(m2)
+    assert not intersection_identity_check(m2, hardy_probability(m2))
     # at depth 2 the joint residue is the repeated atom's singleton tower base
     assert hardy_probability(m2).joint_set == set_of([atom("x1")])
 
@@ -122,13 +122,14 @@ def test_depth_validation():
 
 
 def test_field_membership_all_true_at_depth_three(model):
-    report = field_membership_report(model)
+    report = field_membership_report(model, hardy_probability(model))
     assert len(report) == 11
     assert all(ok for _, ok in report)
 
 
 def test_field_membership_partial_at_depth_four():
-    report = dict(field_membership_report(build_model(STANDARD, 4)))
+    m4 = build_model(STANDARD, 4)
+    report = dict(field_membership_report(m4, hardy_probability(m4)))
     # the level-2 numerals stay events, but the Zermelo residue (a level-2
     # tower) is no longer made of sample points
     assert report["vn(2,x1)"]
@@ -182,3 +183,35 @@ def test_random_quadruple_sweep_seeded():
         assert result.probability == Fraction(1, 16)
         assert intersect(m.c_set, m.d_set) == empty()
         assert result.joint_set == zermelo(2, atom(labels[0]))
+
+
+@pytest.fixture
+def annihilate_calls(monkeypatch):
+    """Counts calls of ``hardy.annihilate`` made through the hardy module."""
+    import hardysets.hardy
+
+    calls = []
+    original = hardysets.hardy.annihilate
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(hardysets.hardy, "annihilate", counted)
+    return calls
+
+
+def test_reproduce_computes_the_residues_once(annihilate_calls, capsys):
+    from hardysets.cli import main
+
+    assert main(["reproduce"]) == 0
+    capsys.readouterr()
+    assert len(annihilate_calls) == 2
+
+
+def test_quadruples_suite_computes_the_residues_once_per_trial(annihilate_calls, capsys):
+    from hardysets.cli import main
+
+    assert main(["check", "--suite", "quadruples", "--trials", "10"]) == 0
+    capsys.readouterr()
+    assert len(annihilate_calls) == 2 * 10

@@ -13,6 +13,7 @@ from hardysets import (
     member,
     monadic_union,
     parse_set,
+    parse_set_prefix,
     print_set,
     rank,
     set_of,
@@ -170,6 +171,17 @@ def test_parse_error_offset_and_expectation():
 
     with pytest.raises(ParseError) as exc:
         parse_set("{x1")
+    assert exc.value.expected == "',' or '}'"
+
+
+def test_parse_set_prefix_stops_after_one_literal():
+    text = "f( {x1, ∅} ,x2)"
+    assert parse_set_prefix(text, 2) == (set_of([X1, empty()]), 10)
+    assert parse_set_prefix("∅∅", 0) == (empty(), 1)
+    # the byte offset counts from the start of the text, not from pos
+    with pytest.raises(ParseError) as exc:
+        parse_set_prefix("∅ {x1 x2}", 1)
+    assert exc.value.byte_offset == 8
     assert exc.value.expected == "',' or '}'"
 
 
