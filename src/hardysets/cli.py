@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every performed check passes, 1 when a check fails,
 2 on usage errors (bad flags, malformed expressions, invalid atom
-quadruples) and on values nested too deeply to process.
+quadruples), on expressions whose function calls nest too deeply, and on
+values past the size bounds (``hfset.MAX_PRINT_CHARS`` printed
+characters, ``numerals.MAX_LEVEL`` numeral levels).
 """
 
 from __future__ import annotations
@@ -442,7 +444,7 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print(
-            "error: value is nested too deeply "
+            "error: expression is nested too deeply "
             f"(Python recursion limit {sys.getrecursionlimit()})",
             file=sys.stderr,
         )

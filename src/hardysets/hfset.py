@@ -1,14 +1,31 @@
-"""Hereditarily finite sets over atom urelements.
+"""Hereditarily finite sets over atom urelements, hash-consed.
 
 A value is either an atom (an opaque identifier) or a finite set of
 values. Sets are kept in canonical form: members are deduplicated and
-stored in a fixed total order, so structural equality coincides with
-extensional equality and every value has exactly one textual rendering.
+stored in a fixed total order, so every value has exactly one textual
+rendering.
+
+Every value is interned (hash-consing): the module keeps one node per
+distinct value, in weak tables keyed by the atom label or by the
+canonical tuple of a set's members. Two equal values are therefore the
+same object, so equality and hashing are object identity, and building
+a node costs O(members) however deep the values below it are. Nodes
+come only from :func:`atom`, :func:`empty`, :func:`set_of`, the set
+algebra and the parser; ``HfSet(...)`` is not a public constructor. A
+node lives as long as something refers to it, and its table entry goes
+with it.
 
 The canonical order puts atoms before set nodes, compares atoms by
 label, and compares set nodes by cardinality first and then childwise.
-It is an internal representation contract; it exists to make equality,
-hashing and serialization deterministic across runs.
+It is an internal representation contract; it exists to make
+serialization deterministic across runs.
+
+No function here recurses over a value. Rank and printed length are
+cached at construction; printing, parsing and the canonical order run
+as loops, so nesting depth is bounded by memory, not by Python's
+recursion limit. The one bound is on size: a value that would print
+more than :data:`MAX_PRINT_CHARS` characters is refused when it would
+be built, with :class:`ValueTooLarge`.
 
 Atoms are memberless: membership queries against an atom are false, and
 applying set algebra (union, intersection, cardinality, monadic union)
@@ -18,12 +35,16 @@ directly to an atom raises :class:`AtomOperand`.
 from __future__ import annotations
 
 import re
+import weakref
+from operator import attrgetter
 from typing import Iterable
 
 __all__ = [
+    "MAX_PRINT_CHARS",
     "AtomOperand",
     "HfSet",
     "ParseError",
+    "ValueTooLarge",
     "atom",
     "canonical_key",
     "cardinality",
@@ -40,12 +61,30 @@ __all__ = [
     "unite",
 ]
 
+# Largest printed length of any value: 2^26 characters, about 21 times the
+# 3,145,727 of vn(20) over a three-letter atom. For n >= 1, vn(n) over a
+# base that prints L characters prints (L + 3) * 2^(n-1) - 1, so vn(25, a)
+# (2^26 - 1 characters) is the highest von Neumann numeral of any base.
+MAX_PRINT_CHARS = 1 << 26
+
+# Keys of nodes of at least this rank compare by a loop (_DeepKey). Below
+# it, C compares the nested key tuples, about two levels of its recursion
+# limit per rank.
+_DEEP_RANK = 100
+
 _ATOM_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# One token after optional whitespace: punctuation or an atom identifier,
+# or None where the text has anything else (or ends).
+_TOKEN = re.compile(r"\s*([{},∅]|[A-Za-z][A-Za-z0-9_]*)?")
+_SPACE = re.compile(r"\s*")
 
 
 class AtomOperand(TypeError):
     """A set-algebra operation was applied to an atom."""
+
+
+class ValueTooLarge(ValueError):
+    """A value would print more than :data:`MAX_PRINT_CHARS` characters."""
 
 
 class ParseError(ValueError):
@@ -61,47 +100,90 @@ class ParseError(ValueError):
         super().__init__(f"parse error at byte {byte_offset}: expected {expected}")
 
 
-class HfSet:
-    """Immutable hereditarily finite set or atom with value semantics.
+class _DeepKey(tuple):
+    """Canonical key of a node whose rank is at least ``_DEEP_RANK``.
 
-    Instances are created through :func:`atom`, :func:`empty`,
-    :func:`set_of` or :func:`parse_set`; the constructor canonicalizes
-    (dedup plus ordering), so any two extensionally equal values compare
-    and hash identically.
+    Comparing nested tuples recurses in C once per level and raises
+    RecursionError past the recursion limit; a deep key compares by the
+    loop of :func:`_compare_keys` instead.
     """
 
-    __slots__ = ("_label", "_children", "_key", "_hash")
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return _compare_keys(self, other) < 0
+
+    def __le__(self, other):
+        return _compare_keys(self, other) <= 0
+
+    def __gt__(self, other):
+        return _compare_keys(self, other) > 0
+
+    def __ge__(self, other):
+        return _compare_keys(self, other) >= 0
+
+
+def _compare_keys(x: tuple, y: tuple) -> int:
+    """-1, 0 or 1 as key ``x`` sorts before, with or after key ``y``.
+
+    Keys are ``(0, label)`` or ``(1, cardinality, member keys)``. Two
+    sets of equal cardinality are ordered by their first differing
+    members; since members are interned, that is the first pair that are
+    not the same object, and the loop descends into it.
+    """
+    while x is not y:
+        if type(x) is tuple and type(y) is tuple:
+            return -1 if x < y else 1
+        if x[:2] != y[:2]:
+            return -1 if x[:2] < y[:2] else 1
+        x, y = next((a, b) for a, b in zip(x[2], y[2]) if a is not b)
+    return 0
+
+
+class HfSet:
+    """Immutable hereditarily finite set or atom, interned.
+
+    There is one node per value, so ``==`` and ``hash`` are those of the
+    object identity. Values are made by :func:`atom`, :func:`empty`,
+    :func:`set_of`, the set algebra and :func:`parse_set`; calling
+    ``HfSet(...)`` directly would make a second node for a value and is
+    not supported. ``__init__`` runs once per new value and caches the
+    canonical key, the rank and the printed length.
+    """
+
+    __slots__ = ("_label", "_children", "_key", "_rank", "_chars", "__weakref__")
 
     def __init__(
         self,
         *,
         label: str | None = None,
-        children: Iterable["HfSet"] | None = None,
+        children: tuple["HfSet", ...] | None = None,
     ) -> None:
-        if (label is None) == (children is None):
-            raise TypeError("construct with exactly one of label= or children=")
-        if label is not None:
-            if not _ATOM_LABEL.match(label):
+        # Only _intern calls this: exactly one of label= or children=, the
+        # latter deduplicated and in canonical order.
+        if children is None:
+            if not _ATOM_LABEL.match(label):  # type: ignore[arg-type]
                 raise ValueError(
                     f"invalid atom label {label!r}: need a letter followed by "
                     "letters, digits or underscores"
                 )
-            self._label: str | None = label
-            self._children: tuple[HfSet, ...] | None = None
             self._key: tuple = (0, label)
+            self._rank = 0
+            chars = len(label)  # type: ignore[arg-type]
         else:
-            kids = tuple(children)  # type: ignore[arg-type]
-            for child in kids:
-                if not isinstance(child, HfSet):
-                    raise TypeError(
-                        f"set members must be HfSet values, got {type(child).__name__}"
-                    )
-            unique = tuple(dict.fromkeys(kids))
-            ordered = tuple(sorted(unique, key=lambda c: c._key))
-            self._label = None
-            self._children = ordered
-            self._key = (1, len(ordered), tuple(c._key for c in ordered))
-        self._hash = hash(self._key)
+            self._rank = 1 + max(map(_rank_of, children), default=-1)
+            key = (1, len(children), tuple(map(_key_of, children)))
+            self._key = _DeepKey(key) if self._rank >= _DEEP_RANK else key
+            # braces, commas, members
+            chars = 2 + max(len(children) - 1, 0) + sum(map(_chars_of, children))
+        if chars > MAX_PRINT_CHARS:
+            raise ValueTooLarge(
+                f"value too large: it would print {chars} characters, "
+                f"more than the limit of {MAX_PRINT_CHARS}"
+            )
+        self._label = label
+        self._children = children
+        self._chars = chars
 
     @property
     def is_atom(self) -> bool:
@@ -119,19 +201,9 @@ class HfSet:
             raise AtomOperand(f"atom '{self._label}' has no members")
         return self._children
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, HfSet):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __lt__(self, other: "HfSet") -> bool:
         # Canonical total order: atoms first, atoms by label, sets by
-        # (cardinality, childwise). Realized by the nested key tuples.
+        # (cardinality, childwise). Realized by the key tuples.
         if not isinstance(other, HfSet):
             return NotImplemented
         return self._key < other._key
@@ -139,8 +211,56 @@ class HfSet:
     def __repr__(self) -> str:
         return print_set(self)
 
+    def __reduce__(self):
+        # Copies and unpickled values are looked up in the intern tables
+        # too, so they stay the one node of their value.
+        if self._children is None:
+            return (atom, (self._label,))
+        return (set_of, (self._children,))
 
-_EMPTY = HfSet(children=())
+
+_key_of = attrgetter("_key")
+_rank_of = attrgetter("_rank")
+_chars_of = attrgetter("_chars")
+
+
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that remembers its table key."""
+
+    __slots__ = ("key",)
+
+
+# The intern tables: atom label, or canonical member tuple, -> weak
+# reference to the one node of that value. The reference's callback
+# removes the entry when the node is freed.
+_ATOMS: dict[str, _Ref] = {}
+_SETS: dict[tuple, _Ref] = {}
+
+
+def _intern(key: str | tuple) -> HfSet:
+    """The node of an atom label or of a canonical member tuple, made on first use."""
+    table = _ATOMS if type(key) is str else _SETS
+    ref = table.get(key)
+    node = ref() if ref is not None else None
+    if node is None:
+        node = HfSet(label=key) if table is _ATOMS else HfSet(children=key)  # type: ignore[arg-type]
+        ref = table[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
+def _forget(ref: _Ref) -> None:
+    table = _ATOMS if type(ref.key) is str else _SETS
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _canonical(members: Iterable[HfSet]) -> HfSet:
+    """The set node of ``members``, given in any order and with repeats."""
+    return _intern(tuple(sorted(dict.fromkeys(members), key=_key_of)))
+
+
+_EMPTY = _intern(())
 
 
 def canonical_key(s: HfSet) -> tuple:
@@ -155,19 +275,27 @@ def empty() -> HfSet:
 
 def atom(label: str) -> HfSet:
     """An atom with the given identifier label."""
-    return HfSet(label=label)
+    if not isinstance(label, str):
+        raise TypeError(f"atom label must be a str, got {type(label).__name__}")
+    return _intern(label)
 
 
 def set_of(children: Iterable[HfSet]) -> HfSet:
     """The set of the given values, canonicalized."""
-    return HfSet(children=children)
+    kids = tuple(children)
+    for child in kids:
+        if not isinstance(child, HfSet):
+            raise TypeError(
+                f"set members must be HfSet values, got {type(child).__name__}"
+            )
+    return _canonical(kids)
 
 
 def equals(a: HfSet, b: HfSet) -> bool:
     """Extensional equality (order- and duplication-insensitive)."""
     _check_value(a)
     _check_value(b)
-    return a == b
+    return a is b
 
 
 def member(a: HfSet, s: HfSet) -> bool:
@@ -183,15 +311,16 @@ def unite(a: HfSet, b: HfSet) -> HfSet:
     """Binary union of two set nodes."""
     _check_set(a, "unite")
     _check_set(b, "unite")
-    return HfSet(children=a._children + b._children)  # type: ignore[operator]
+    return _canonical(a._children + b._children)  # type: ignore[operator]
 
 
 def intersect(a: HfSet, b: HfSet) -> HfSet:
     """Binary intersection of two set nodes."""
     _check_set(a, "intersect")
     _check_set(b, "intersect")
-    bk = b._children
-    return HfSet(children=(c for c in a._children if c in bk))  # type: ignore[union-attr,operator]
+    bk = set(b._children)  # type: ignore[arg-type]
+    # A subsequence of a's members is already canonical.
+    return _intern(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
 
 
 def cardinality(s: HfSet) -> int:
@@ -211,31 +340,70 @@ def monadic_union(z: HfSet) -> HfSet:
     for child in z._children:  # type: ignore[union-attr]
         if child._children is not None:
             gathered.extend(child._children)
-    return HfSet(children=gathered)
+    return _canonical(gathered)
 
 
 def rank(s: HfSet) -> int:
     """Nesting depth: 0 for atoms and the empty set, else 1 + max child rank."""
     _check_value(s)
-    return _rank(s)
-
-
-def _rank(s: HfSet) -> int:
-    if s._children is None or not s._children:
-        return 0
-    return 1 + max(_rank(c) for c in s._children)
+    return s._rank
 
 
 def print_set(s: HfSet) -> str:
-    """Deterministic canonical rendering; inverse of :func:`parse_set`."""
+    """Deterministic canonical rendering; inverse of :func:`parse_set`.
+
+    Each set node that is a member of two or more nodes of ``s`` is
+    rendered once and its text reused; every other node is written out
+    where it occurs. The work is linear in the printed length.
+    """
     _check_value(s)
-    return _render(s)
+    # Pass 1: how many distinct nodes under s have each set node as a member.
+    parents: dict[HfSet, int] = {}
+    stack = [s]
+    while stack:
+        for c in stack.pop()._children or ():
+            if c._children is None:
+                continue
+            if c in parents:
+                parents[c] += 1
+            else:
+                parents[c] = 1
+                stack.append(c)
+    # Pass 2: write the text in order. The stack holds nodes still to
+    # write, literal pieces, and (node, start) marks that close a shared
+    # node: its pieces out[start:] are joined once and kept in `shared`.
+    shared: dict[HfSet, str] = {}
+    out: list[str] = []
+    todo: list = [s]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is tuple:
+            node, start = item
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            shared[node] = text
+        elif item._label is not None:
+            out.append(item._label)
+        elif item in shared:
+            out.append(shared[item])
+        else:
+            if parents.get(item, 1) > 1:
+                todo.append((item, len(out)))
+            todo.append("}")
+            for kid in reversed(item._children):
+                todo.append(kid)
+                todo.append(",")
+            if item._children:
+                todo.pop()  # no comma before the first member
+            todo.append("{")
+    return "".join(out)
 
 
-def _render(s: HfSet) -> str:
-    if s._label is not None:
-        return s._label
-    return "{" + ",".join(_render(c) for c in s._children) + "}"
+# Parser states: what the next token may be.
+_START, _FIRST, _NEXT, _AFTER = range(4)  # literal, '}' or member, member, ',' or '}'
 
 
 def parse_set(text: str) -> HfSet:
@@ -244,9 +412,10 @@ def parse_set(text: str) -> HfSet:
     ``{}`` and the character ``∅`` both denote the empty set; whitespace
     is insignificant. Raises :class:`ParseError` on malformed input.
     """
-    parser = _SetParser(text, 0)
-    value = parser.parse_set()
-    parser.expect_end()
+    value, end = parse_set_prefix(text, 0)
+    end = _SPACE.match(text, end).end()  # type: ignore[union-attr]
+    if end != len(text):
+        raise _error(text, end, "end of input")
     return value
 
 
@@ -258,71 +427,44 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
     readers that embed set literals. The ``byte_offset`` of a
     :class:`ParseError` counts from the start of ``text``.
     """
-    parser = _SetParser(text, pos)
-    value = parser.parse_set()
-    return value, parser.pos
-
-
-class _SetParser:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str, pos: int) -> None:
-        self.text = text
-        self.pos = pos
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _at(self, ch: str) -> bool:
-        return self.pos < len(self.text) and self.text[self.pos] == ch
-
-    def fail(self, expected: str) -> None:
-        byte_offset = len(self.text[: self.pos].encode("utf-8"))
-        raise ParseError(byte_offset, expected)
-
-    def parse_set(self) -> HfSet:
-        self._skip_ws()
-        if not (self._at("{") or self._at("∅")):
-            self.fail("'{' or '∅'")
-        return self._literal()
-
-    def _literal(self) -> HfSet:
-        # The cursor is on '{' or '∅'; whitespace before it is already skipped.
-        if self.text[self.pos] == "∅":
-            self.pos += 1
-            return _EMPTY
-        self.pos += 1
-        self._skip_ws()
-        if self._at("}"):
-            self.pos += 1
-            return _EMPTY
-        members = [self.parse_elem()]
-        while True:
-            self._skip_ws()
-            if self._at(","):
-                self.pos += 1
-                members.append(self.parse_elem())
+    # Members read so far, one list per '{' not yet closed.
+    open_sets: list[list[HfSet]] = []
+    state = _START
+    # The token pattern also matches the empty string, so the text's end
+    # comes as a last match whose token is None, and every state rejects it.
+    for m in _TOKEN.finditer(text, pos):
+        token = m[1]
+        if state == _AFTER:
+            if token == ",":
+                state = _NEXT
                 continue
-            if self._at("}"):
-                self.pos += 1
-                return HfSet(children=members)
-            self.fail("',' or '}'")
+            if token != "}":
+                expected = "',' or '}'"
+                break
+            value = _canonical(open_sets.pop())
+        elif token == "{":
+            open_sets.append([])
+            state = _FIRST
+            continue
+        elif token == "∅":
+            value = _EMPTY
+        elif token == "}" and state == _FIRST:
+            open_sets.pop()
+            value = _EMPTY
+        elif token and token not in "{},∅" and state != _START:
+            value = _intern(token)
+        else:
+            expected = "'{' or '∅'" if state == _START else "a set or an atom identifier"
+            break
+        if not open_sets:
+            return value, m.end()
+        open_sets[-1].append(value)
+        state = _AFTER
+    raise _error(text, m.start(1) if token else m.end(), expected)
 
-    def parse_elem(self) -> HfSet:
-        self._skip_ws()
-        if self._at("{") or self._at("∅"):
-            return self._literal()
-        m = _IDENT.match(self.text, self.pos)
-        if m is None:
-            self.fail("a set or an atom identifier")
-        self.pos = m.end()  # type: ignore[union-attr]
-        return HfSet(label=m.group())  # type: ignore[union-attr]
 
-    def expect_end(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self.fail("end of input")
+def _error(text: str, pos: int, expected: str) -> ParseError:
+    return ParseError(len(text[:pos].encode("utf-8")), expected)
 
 
 def _check_value(s: HfSet) -> None:

@@ -5,13 +5,24 @@ atom) at level 0 and build upward: the von Neumann numeral at level n+1
 collects every earlier level, the Zermelo numeral wraps the previous
 level in a singleton. With an atom base the level-0 numeral *is* that
 atom, so e.g. the level-1 numeral of atom x is {x}.
+
+Levels above :data:`MAX_LEVEL` are refused with
+:class:`~hardysets.hfset.ValueTooLarge`, before any node is built. The
+von Neumann numerals meet the printed-length bound of ``hfset`` long
+before that: they double in length with each level, so vn(26) is
+refused as it is built, whatever its base.
 """
 
 from __future__ import annotations
 
-from .hfset import HfSet, empty, set_of
+from .hfset import HfSet, ValueTooLarge, empty, set_of
 
-__all__ = ["numeral", "von_neumann", "zermelo"]
+__all__ = ["MAX_LEVEL", "numeral", "von_neumann", "zermelo"]
+
+# Highest numeral level. zm(n) prints just 2n characters plus its base,
+# far below hfset.MAX_PRINT_CHARS, but builds one node of a few hundred
+# bytes per level: zm(100000) takes about a second and under 100 MiB.
+MAX_LEVEL = 100_000
 
 
 def _check_base(base: HfSet | None) -> HfSet:
@@ -24,13 +35,19 @@ def _check_base(base: HfSet | None) -> HfSet:
     return base
 
 
+def _check_level(n: int) -> None:
+    if n < 0:
+        raise ValueError("numeral level must be non-negative")
+    if n > MAX_LEVEL:
+        raise ValueTooLarge(f"numeral level {n} is above the limit of {MAX_LEVEL}")
+
+
 def von_neumann(n: int, base: HfSet | None = None) -> HfSet:
     """Level-n von Neumann numeral: each level is the set of all earlier levels.
 
     Cardinality is n for n >= 1.
     """
-    if n < 0:
-        raise ValueError("numeral level must be non-negative")
+    _check_level(n)
     levels = [_check_base(base)]
     for _ in range(n):
         levels.append(set_of(levels))
@@ -42,8 +59,7 @@ def zermelo(n: int, base: HfSet | None = None) -> HfSet:
 
     Cardinality is 1 for n >= 1.
     """
-    if n < 0:
-        raise ValueError("numeral level must be non-negative")
+    _check_level(n)
     current = _check_base(base)
     for _ in range(n):
         current = set_of([current])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -102,15 +103,65 @@ def test_eval_parse_error_position(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), expression
 
 
-@pytest.mark.parametrize(
-    "expression", ["zm(600,a)", "{" * 600 + "a" + "}" * 600], ids=["zm-call", "brace-literal"]
-)
-def test_eval_deep_nesting_is_usage_error(capsys, expression):
-    code, out, err = run(capsys, "eval", expression)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: value is nested too deeply")
-    assert "Traceback" not in err
+def zm_text(n, base):
+    return "{" * n + base + "}" * n
+
+
+# Nesting far past Python's recursion limit gets the exact closed-form answer.
+DEEP_VALUES = {
+    "zm-call-600": ("zm(600,a)", zm_text(600, "a")),
+    "brace-literal-600": (zm_text(600, "a"), zm_text(600, "a")),
+    "zm-call-5000": ("zm(5000,a)", zm_text(5000, "a")),
+    "brace-literal-5000": (zm_text(5000, "a"), zm_text(5000, "a")),
+    # the canonical order compares the two members 3000 levels down
+    "union-3000": (
+        "union(zm(3000,b),zm(3000,a))",
+        "{" + zm_text(2999, "a") + "," + zm_text(2999, "b") + "}",
+    ),
+}
+
+
+@pytest.mark.parametrize("expression, expected", DEEP_VALUES.values(), ids=DEEP_VALUES)
+def test_eval_deep_nesting_is_answered(capsys, expression, expected):
+    assert run(capsys, "eval", expression) == (0, expected + "\n", "")
+
+
+# Inputs past the documented size bounds: refused before any large value is
+# built or printed.
+REFUSED = {
+    "vn-level-1000000": (
+        ("eval", "vn(1000000,a)"), "numeral level 1000000 is above the limit of 100000"),
+    "zm-level-100001": (
+        ("eval", "zm(100001,a)"), "numeral level 100001 is above the limit of 100000"),
+    "numerals-zm-100001": (
+        ("numerals", "--system", "zm", "--n", "100001"),
+        "numeral level 100001 is above the limit of 100000"),
+    "reproduce-depth-1000000": (
+        ("reproduce", "--depth", "1000000"), "numeral level 1000000 is above the limit of 100000"),
+    # vn(26,a) prints 2^27 - 1 characters
+    "vn-26": (
+        ("eval", "card(vn(26,a))"),
+        "value too large: it would print 134217727 characters, more than the limit of 67108864"),
+    # the union of both wings at depth 23 prints about four times vn(23,x1)
+    "reproduce-depth-23": (
+        ("reproduce", "--depth", "23"),
+        "value too large: it would print 83886261 characters, more than the limit of 67108864"),
+    # vn(25,x1) prints 5 * 2^24 - 1 characters
+    "reproduce-depth-25": (
+        ("reproduce", "--depth", "25"),
+        "value too large: it would print 83886079 characters, more than the limit of 67108864"),
+    "union-past-print-bound": (
+        ("eval", "union(vn(25,a),vn(25,b))"),
+        "value too large: it would print 134217725 characters, more than the limit of 67108864"),
+    "call-nesting-2000": (
+        ("eval", "munion(" * 2000 + "{}" + ")" * 2000),
+        f"expression is nested too deeply (Python recursion limit {sys.getrecursionlimit()})"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED)
+def test_inputs_past_the_bounds_are_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_eval_type_errors(capsys):

@@ -1,9 +1,17 @@
+import ast
+import copy
+import gc
+import pickle
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from hardysets import hfset
 from hardysets import (
     AtomOperand,
+    HfSet,
     ParseError,
     atom,
     cardinality,
@@ -21,6 +29,7 @@ from hardysets import (
     von_neumann,
     zermelo,
 )
+from hardysets.hfset import canonical_key
 
 from conftest import hf_sets, hf_values
 
@@ -192,13 +201,151 @@ def test_print_examples():
 
 @given(hf_sets)
 def test_roundtrip(s):
-    assert parse_set(print_set(s)) == s
+    assert parse_set(print_set(s)) is s
 
 
 @given(hf_values)
 def test_canonicalization_idempotent(s):
     if not s.is_atom:
-        assert set_of(s.children) == s
+        assert set_of(s.children) is s
+
+
+@given(hf_values)
+def test_copies_are_the_interned_node(s):
+    assert copy.copy(s) is s
+    assert copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+
+
+@given(hf_values, hf_values)
+def test_equal_iff_same_rendering(a, b):
+    assert (a == b) == (print_set(a) == print_set(b))
+
+
+def reference_key(s):
+    """The canonical order, recursively and without the package's keys:
+    atoms first, by label; sets by cardinality, then by their sorted members."""
+    if s.is_atom:
+        return (0, s.label)
+    return (1, len(s.children), tuple(sorted(reference_key(c) for c in s.children)))
+
+
+def reference_rank(s):
+    if s.is_atom or not s.children:
+        return 0
+    return 1 + max(reference_rank(c) for c in s.children)
+
+
+@given(st.lists(hf_values, max_size=8))
+def test_canonical_key_order_matches_reference(values):
+    assert sorted(values, key=canonical_key) == sorted(values, key=reference_key)
+
+
+def test_canonical_key_order_across_the_deep_key_rank():
+    # Ranks on both sides of the rank where keys start to compare by a loop.
+    a, b = atom("a"), atom("b")
+    values = [a, b, empty()]
+    for n in (95, 99, 100, 101, 110):
+        values += [zermelo(n, a), zermelo(n, b), set_of([zermelo(n, a), zermelo(n - 1, b)])]
+        values.append(set_of([a, zermelo(n, b)]))
+    values.reverse()
+    assert sorted(values, key=canonical_key) == sorted(values, key=reference_key)
+    assert [print_set(v) for v in sorted(values)] == [
+        print_set(v) for v in sorted(values, key=reference_key)
+    ]
+
+
+@given(hf_values)
+def test_cached_rank_matches_reference(s):
+    assert rank(s) == reference_rank(s)
+
+
+@pytest.fixture
+def construct_calls(monkeypatch):
+    """Counts HfSet.__init__ runs, that is, nodes created."""
+    calls = []
+    original = HfSet.__init__
+
+    def counting(self, **fields):
+        calls.append(fields)
+        original(self, **fields)
+
+    monkeypatch.setattr(HfSet, "__init__", counting)
+    return calls
+
+
+def test_numeral_creates_one_node_per_level(construct_calls):
+    value = von_neumann(9, atom("fresh_count_probe"))
+    assert len(construct_calls) == 10
+    assert rank(value) == 9
+
+
+def test_reparse_of_a_live_value_creates_no_node(construct_calls):
+    value = von_neumann(12, atom("a"))
+    text = print_set(value)
+    construct_calls.clear()
+    assert parse_set(text) is value
+    assert construct_calls == []
+
+
+def test_intern_tables_release_freed_values():
+    gc.collect()
+    before = len(hfset._ATOMS), len(hfset._SETS)
+    tower = von_neumann(12, atom("fresh_leak_probe"))
+    chain = zermelo(300, atom("other_probe"))
+    value = unite(tower, chain)
+    assert len(hfset._ATOMS) == before[0] + 2
+    assert len(hfset._SETS) == before[1] + 12 + 300 + 1
+    del tower, chain, value
+    gc.collect()
+    assert (len(hfset._ATOMS), len(hfset._SETS)) == before
+
+
+def test_deep_values_round_trip():
+    deep = zermelo(20000, atom("a"))
+    text = print_set(deep)
+    assert text == "{" * 20000 + "a" + "}" * 20000
+    assert parse_set(text) is deep
+    assert rank(deep) == 20000
+
+
+HFSET_SOURCE = Path(hfset.__file__)
+
+
+def self_calls(path):
+    """Names of the functions in ``path`` that call themselves by name,
+    directly or as a method of ``self``."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == fn.name:
+                found.add(fn.name)
+            elif (isinstance(callee, ast.Attribute) and callee.attr == fn.name
+                  and isinstance(callee.value, ast.Name) and callee.value.id == "self"):
+                found.add(fn.name)
+    return found
+
+
+def test_self_calls_sees_direct_and_method_recursion(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "def f(x):\n    return f(x - 1)\n"
+        "class C:\n"
+        "    def g(self):\n        return self.g()\n"
+        "    def __init__(self):\n        super().__init__()\n"
+        "def h(x):\n    return f(x)\n"
+    )
+    assert self_calls(source) == {"f", "g"}
+
+
+def test_hfset_has_no_recursive_function():
+    # Deep values must never reach Python's recursion limit in the set engine.
+    assert self_calls(HFSET_SOURCE) == set()
 
 
 @given(hf_values, hf_values)
