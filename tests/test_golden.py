@@ -18,7 +18,7 @@ GOLDEN = Path(__file__).parent / "golden"
 TOL = 1e-12
 
 
-@pytest.mark.parametrize("depth", [2, 3, 4])
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_reproduce_machine_golden(capsys, depth):
     code = main(["reproduce", "--depth", str(depth), "--format", "machine"])
     report = json.loads(capsys.readouterr().out)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -201,6 +202,18 @@ def test_verify_axioms_size_bound():
     big = uniform_triple(distinct_elements(25))
     with pytest.raises(SampleSpaceTooLarge):
         verify_axioms(big, 10, 0)
+
+
+# Field closure holds by construction, so the largest admitted space costs
+# only the sampled measure bound, not a loop over its 2^24 events.
+def test_verify_axioms_does_not_sweep_the_field():
+    t = uniform_triple(distinct_elements(24))
+    start = time.perf_counter()
+    report = verify_axioms(t, 10000, 42)
+    elapsed = time.perf_counter() - start
+    assert report.passed
+    assert report.complement_closure.checked == 1 << 24
+    assert elapsed < 0.5, f"verify_axioms took {elapsed:.3f}s at |omega| = 24"
 
 
 def test_all_event_probabilities_table(hardy_triple):
