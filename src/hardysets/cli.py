@@ -378,14 +378,19 @@ def _atom_list(text: str) -> list:
     return labels
 
 
-def _positive_depth(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid depth {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError("depth must be at least 1")
-    return value
+def _int_at_least(name: str, low: int):
+    """An argparse type: an integer ``name`` no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid {name} {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {low}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="build the model and run every check")
     p.add_argument("--atoms", type=_atom_list, default=["x1", "x2", "x3", "x4"],
                    help="four comma-separated atom labels (default x1,x2,x3,x4)")
-    p.add_argument("--depth", type=_positive_depth, default=3,
+    p.add_argument("--depth", type=_int_at_least("depth", 1), default=3,
                    help="numeral depth for the wings (default 3)")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_reproduce)
@@ -412,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check", help="run the invariant suites")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
+    p.add_argument("--trials", type=_int_at_least("trials", 1), default=1000)
     p.add_argument("--suite", choices=sorted(SUITES), default=None)
     p.add_argument("--verbose", action="store_true",
                    help="print every check line, not only failures")

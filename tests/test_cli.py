@@ -223,3 +223,18 @@ def test_numerals_bad_base(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "reproduce", "--depth", "0")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--seed", "-1"), "argument --seed: seed must be at least 0"),
+    (("--seed", "x"), "argument --seed: invalid seed 'x'"),
+    (("--trials", "-5"), "argument --trials: trials must be at least 1"),
+    (("--trials", "0"), "argument --trials: trials must be at least 1"),
+])
+def test_check_bad_seed_or_trials_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "check", "--suite", "quantum", *argv)
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"hardysets check: error: {message}"
+    ]

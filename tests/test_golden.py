@@ -1,4 +1,4 @@
-"""Golden outputs: the reproduce reports and the axioms check, pinned exactly.
+"""Golden outputs: the reproduce reports and the axioms and quantum checks, pinned exactly.
 
 The files under ``golden/`` are the stdout of the commands named in
 each test. Every key of a machine report must match exactly, except the
@@ -44,3 +44,11 @@ def test_check_axioms_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "check-axioms-seed42-trials100.txt").read_text()
+
+
+# Pins the printed worst norm drift of the batched sweep to the per-state loop's.
+def test_check_quantum_golden(capsys):
+    code = main(["check", "--suite", "quantum", "--seed", "42", "--trials", "1000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "check-quantum-seed42-trials1000.txt").read_text()
