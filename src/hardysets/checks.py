@@ -86,17 +86,29 @@ def random_hfset(
     max_breadth: int = 5,
     atom_pool: tuple = ("a", "b", "c", "d", "e"),
 ) -> HfSet:
-    """Random canonical set node; atoms appear only as members."""
+    """Random canonical set node; atoms appear only as members.
 
-    def node(budget: int) -> HfSet:
-        if budget == 0 or rng.random() < 0.3:
-            if rng.random() < 0.7:
-                return atom(rng.choice(atom_pool))
-            return empty()
-        k = rng.randint(0, max_breadth)
-        return set_of(node(budget - 1) for _ in range(k))
-
-    return set_of(node(max_rank - 1) for _ in range(rng.randint(0, max_breadth)))
+    Members are drawn depth first, in the order a recursive draw would
+    take them, from an explicit stack of the sets still being drawn.
+    """
+    # One frame per set being drawn: [rank budget of its members,
+    # members drawn, members still to draw].
+    stack = [[max_rank - 1, [], rng.randint(0, max_breadth)]]
+    while True:
+        frame = stack[-1]
+        budget, members, left = frame
+        if not left:
+            stack.pop()
+            value = set_of(members)
+            if not stack:
+                return value
+            stack[-1][1].append(value)
+        else:
+            frame[2] = left - 1
+            if budget == 0 or rng.random() < 0.3:
+                members.append(atom(rng.choice(atom_pool)) if rng.random() < 0.7 else empty())
+            else:
+                stack.append([budget - 1, [], rng.randint(0, max_breadth)])
 
 
 def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:

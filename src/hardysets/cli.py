@@ -100,8 +100,12 @@ class _ExprParser:
             return ("value", value, start)
         m = _NUMBER.match(self.text, self.pos)
         if m:
+            try:
+                number = int(m.group())
+            except ValueError:  # past the interpreter's int-from-text digit limit
+                self.fail(f"number has more than {sys.get_int_max_str_digits()} digits", start)
             self.pos = m.end()
-            return ("number", int(m.group()), start)
+            return ("number", number, start)
         m = _IDENT.match(self.text, self.pos)
         if not m:
             self.fail("expected a set literal, a function call, or an identifier")

@@ -27,6 +27,16 @@ recursion limit. The one bound is on size: a value that would print
 more than :data:`MAX_PRINT_CHARS` characters is refused when it would
 be built, with :class:`ValueTooLarge`.
 
+Printing and parsing both exploit shared structure. The printer writes
+the text of a node that is a member of several nodes once and reuses
+it. The parser reads a repeated sub-literal once: within one call, after
+a ``,`` it compares the text ahead with the source of the set node that
+followed the same member in a set already read twice, and takes the
+node whole on a match (see :func:`parse_set_prefix`). Failed comparisons
+are charged to a budget of the input's length, so parsing stays linear
+in the input whatever the text, and the printed ``vn(n)``, 2^(n+1) - 1
+characters over a one-letter atom, is read in O(n^2) tokens.
+
 Atoms are memberless: membership queries against an atom are false, and
 applying set algebra (union, intersection, cardinality, monadic union)
 directly to an atom raises :class:`AtomOperand`.
@@ -36,6 +46,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable
 
@@ -426,41 +437,93 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
     its ``∅``); what follows is left to the caller. Used by expression
     readers that embed set literals. The ``byte_offset`` of a
     :class:`ParseError` counts from the start of ``text``.
+
+    A repeated sub-literal is read once. For the length of one call the
+    parser keeps the text each set node was first read from, and, for
+    each set read a second time, which member followed which among its
+    members. After a ``,`` whose preceding member has such a follower
+    with a kept text, text that starts (after whitespace) with that
+    source is taken as the follower by one string comparison, and the
+    scan resumes past it. Exactly that text has already parsed to that
+    node, so the value, the end position and every error are those of
+    reading it token by token. A failed comparison is charged the length
+    of the source; once the charges reach ``len(text) - pos`` characters,
+    the parser stops predicting. The extra work is thus a few dict and
+    list operations per token, and O(input) character comparisons,
+    whatever the text. A printed ``vn(n)``, which repeats level k
+    2^(n-k-1) times, is read in O(n^2) tokens.
     """
-    # Members read so far, one list per '{' not yet closed.
+    # Members read so far, and the offset of the '{', one each per set not
+    # yet closed.
     open_sets: list[list[HfSet]] = []
+    starts: list[int] = []
+    # Set node -> the text it was first read from, as (start, end) offsets
+    # until the first comparison slices it. Only sets written with braces
+    # and read after a comma are kept: a source ends with a whole token,
+    # and only a member after a comma is ever predicted.
+    sources: dict[HfSet, tuple[int, int] | str] = {}
+    # Member -> the member that followed it in a set read twice. Learning
+    # only from sets that repeat keeps it off the path of text that does not.
+    follower: dict[HfSet, HfSet] = {}
+    budget = len(text) - pos
     state = _START
-    # The token pattern also matches the empty string, so the text's end
-    # comes as a last match whose token is None, and every state rejects it.
-    for m in _TOKEN.finditer(text, pos):
-        token = m[1]
-        if state == _AFTER:
-            if token == ",":
-                state = _NEXT
+    while True:
+        expected = None
+        # The token pattern also matches the empty string, so the text's
+        # end comes as a last match whose token is None, and every state
+        # rejects it: the loop ends by return or break.
+        for m in _TOKEN.finditer(text, pos):
+            token = m[1]
+            if state == _AFTER:
+                if token == ",":
+                    state = _NEXT
+                    # `value` is the member before this comma.
+                    if budget > 0 and (value := follower.get(value)) is not None:
+                        source = sources.get(value)
+                        if source is not None:
+                            if type(source) is tuple:
+                                source = sources[value] = text[source[0]:source[1]]
+                            pos = _SPACE.match(text, m.end()).end()  # type: ignore[union-attr]
+                            if text.startswith(source, pos):
+                                pos += len(source)
+                                break
+                            budget -= len(source)
+                    continue
+                if token != "}":
+                    expected = "',' or '}'"
+                    break
+                members = open_sets.pop()
+                value = _canonical(members)
+                start = starts.pop()
+                if value in sources:
+                    follower.update(pairwise(members))
+                elif open_sets and open_sets[-1]:
+                    sources[value] = (start, m.end())
+            elif token == "{":
+                open_sets.append([])
+                starts.append(m.start(1))
+                state = _FIRST
                 continue
-            if token != "}":
-                expected = "',' or '}'"
+            elif token == "∅":
+                value = _EMPTY
+            elif token == "}" and state == _FIRST:
+                open_sets.pop()
+                starts.pop()
+                value = _EMPTY
+            elif token and token not in "{},∅" and state != _START:
+                value = _intern(token)
+            else:
+                expected = "'{' or '∅'" if state == _START else "a set or an atom identifier"
                 break
-            value = _canonical(open_sets.pop())
-        elif token == "{":
-            open_sets.append([])
-            state = _FIRST
-            continue
-        elif token == "∅":
-            value = _EMPTY
-        elif token == "}" and state == _FIRST:
-            open_sets.pop()
-            value = _EMPTY
-        elif token and token not in "{},∅" and state != _START:
-            value = _intern(token)
-        else:
-            expected = "'{' or '∅'" if state == _START else "a set or an atom identifier"
-            break
-        if not open_sets:
-            return value, m.end()
+            if not open_sets:
+                return value, m.end()
+            open_sets[-1].append(value)
+            state = _AFTER
+        if expected is not None:
+            raise _error(text, m.start(1) if token else m.end(), expected)
+        # The follower matched: it is the next member, read whole.
         open_sets[-1].append(value)
         state = _AFTER
-    raise _error(text, m.start(1) if token else m.end(), expected)
 
 
 def _error(text: str, pos: int, expected: str) -> ParseError:

@@ -4,12 +4,36 @@ import random
 
 import pytest
 
-from hardysets import checks, empty, print_set
+from hardysets import atom, checks, empty, print_set, set_of
 
 
 def algebra_sets(seed):
     rng = random.Random(seed)
     return [checks.random_hfset(rng) for _ in range(1000)]
+
+
+def recursive_random_hfset(rng, max_rank=5, max_breadth=5, atom_pool=("a", "b", "c", "d", "e")):
+    """The draw as a recursion: each member is drawn whole before the next."""
+
+    def node(budget):
+        if budget == 0 or rng.random() < 0.3:
+            if rng.random() < 0.7:
+                return atom(rng.choice(atom_pool))
+            return empty()
+        k = rng.randint(0, max_breadth)
+        return set_of(node(budget - 1) for _ in range(k))
+
+    return set_of(node(max_rank - 1) for _ in range(rng.randint(0, max_breadth)))
+
+
+@pytest.mark.parametrize("shape", [{}, {"max_rank": 1}, {"max_rank": 2, "max_breadth": 1},
+                                   {"max_rank": 7, "max_breadth": 3}])
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
+def test_random_hfset_draws_as_the_recursion_does(seed, shape):
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(50):
+        assert checks.random_hfset(ours, **shape) is recursive_random_hfset(reference, **shape)
+    assert ours.random() == reference.random()
 
 
 def first_argument(x, y):

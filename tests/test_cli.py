@@ -153,6 +153,10 @@ REFUSED = {
     "union-past-print-bound": (
         ("eval", "union(vn(25,a),vn(25,b))"),
         "value too large: it would print 134217725 characters, more than the limit of 67108864"),
+    # past the interpreter's limit on digits converted to an int
+    "number-5000-digits": (
+        ("eval", "vn(" + "9" * 5000 + ",a)"),
+        f"error at byte 3: number has more than {sys.get_int_max_str_digits()} digits"),
     "call-nesting-2000": (
         ("eval", "munion(" * 2000 + "{}" + ")" * 2000),
         f"expression is nested too deeply (Python recursion limit {sys.getrecursionlimit()})"),

@@ -1,8 +1,9 @@
 """The two pipelines stay independent: checked on the import statements.
 
 The quantum amplitude oracle must not import the set engine, and the
-frozenset expansion oracle must not import the package at all; either
-import would let a fault of one pipeline hide in the check by the other.
+frozenset expansion oracle and the reference set-notation reader must
+not import the package at all; such an import would let a fault of one
+pipeline hide in the check by the other.
 """
 
 import ast
@@ -38,4 +39,9 @@ def test_quantum_does_not_import_the_set_engine():
 
 def test_expansion_oracle_imports_nothing_from_the_package():
     for name in imported_names(ROOT / "tests" / "expansion_oracle.py"):
+        assert not name.startswith(".") and name.split(".")[0] != "hardysets", name
+
+
+def test_parser_oracle_imports_nothing_from_the_package():
+    for name in imported_names(ROOT / "tests" / "parser_oracle.py"):
         assert not name.startswith(".") and name.split(".")[0] != "hardysets", name
