@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 _QUANTUM_TOL = 1e-12
+_ONE_SIXTEENTH = Fraction(1, 16)
 
 
 @dataclass
@@ -257,7 +258,7 @@ def check_quadruples(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         result = hardy_probability(model)
         p = result.probability
         identity_ok = intersection_identity_check(model, result)
-        if not (result_ok and identity_ok and p == Fraction(1, 16)):
+        if not (result_ok and identity_ok and p == _ONE_SIXTEENTH):
             failures += 1
             out.fail(f"trial {trial}: labels {labels} p={p} identity={identity_ok}")
             if failures >= 5:
@@ -338,7 +339,7 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
 
     model = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3)
     p_classical = hardy_probability(model).probability
-    out.expect(p_classical == Fraction(1, 16), "exact model probability == 1/16")
+    out.expect(p_classical == _ONE_SIXTEENTH, "exact model probability == 1/16")
     out.expect(
         abs(dist.p("d", "d") - float(p_classical)) <= _QUANTUM_TOL,
         "quantum p(d,d) agrees with the exact model value",
@@ -411,7 +412,8 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
 
 
 def _difference(universe: HfSet, x: HfSet) -> HfSet:
-    return set_of(c for c in universe.children if not member(c, x))
+    members = set(x.children)
+    return set_of(c for c in universe.children if c not in members)
 
 
 SUITES = {

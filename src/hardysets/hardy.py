@@ -5,9 +5,12 @@ the C wing unions the von Neumann numerals of x1, x2 with the Zermelo
 numerals of x3, x4 at a given depth, and the D wing mirrors the roles
 (von Neumann for x4, x3; Zermelo for x2, x1). The sample space is the
 set of members of the union of both wings, carrying the uniform measure.
-Each wing has 2k+2 members at depth k, so |omega| = 4k+4 - |C ∩ D|; the
-wings are disjoint only from depth 3 up, and share the four atoms at
-depth 1 and the four level-1 numerals {x1}, ..., {x4} at depth 2.
+Each of the eight numeral towers is built once, and each wing is one
+canonicalisation of the members of its four towers, with no
+intermediate union nodes. Each wing has 2k+2 members at depth k, so
+|omega| = 4k+4 - |C ∩ D|; the wings are disjoint only from depth 3 up,
+and share the four atoms at depth 1 and the four level-1 numerals
+{x1}, ..., {x4} at depth 2.
 
 Annihilation is modeled by the monadic-union operator applied to the
 hidden per-particle sets (the depth-level numerals of x1 in each wing);
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hfset import HfSet, atom, intersect, monadic_union, unite
+from .hfset import HfSet, atom, intersect, monadic_union, set_of, unite
 from .numerals import von_neumann, zermelo
 from .probability import (
     Event,
@@ -145,17 +148,14 @@ def _collisions(labels: Sequence[str]) -> list[tuple[int, int, str]]:
     return found
 
 
-def _wings(labels: Sequence[str], depth: int) -> tuple[HfSet, HfSet]:
-    a1, a2, a3, a4 = (atom(label) for label in labels)
-    c_set = unite(
-        unite(von_neumann(depth, a1), von_neumann(depth, a2)),
-        unite(zermelo(depth, a3), zermelo(depth, a4)),
-    )
-    d_set = unite(
-        unite(von_neumann(depth, a4), von_neumann(depth, a3)),
-        unite(zermelo(depth, a2), zermelo(depth, a1)),
-    )
-    return c_set, d_set
+def _wings(labels: Sequence[str], depth: int) -> tuple[HfSet, HfSet, HfSet, HfSet]:
+    """The C and D wings, then vn(depth, x1) and zm(depth, x1), the hidden sets."""
+    atoms = [atom(label) for label in labels]
+    vn1, vn2, vn3, vn4 = (von_neumann(depth, a) for a in atoms)
+    zm1, zm2, zm3, zm4 = (zermelo(depth, a) for a in atoms)
+    c_set = set_of(vn1.children + vn2.children + zm3.children + zm4.children)
+    d_set = set_of(vn4.children + vn3.children + zm2.children + zm1.children)
+    return c_set, d_set, vn1, zm1
 
 
 def build_model(quad: AtomQuadruple, depth: int) -> HardyModel:
@@ -170,7 +170,7 @@ def build_model(quad: AtomQuadruple, depth: int) -> HardyModel:
     collisions = _collisions(quad.labels)
     if collisions:
         raise NonDistinctAtoms(collisions)
-    c_set, d_set = _wings(quad.labels, depth)
+    c_set, d_set, hidden_a, hidden_b = _wings(quad.labels, depth)
     triple = uniform_triple(unite(c_set, d_set).children)
     return HardyModel(
         quad=quad,
@@ -178,8 +178,8 @@ def build_model(quad: AtomQuadruple, depth: int) -> HardyModel:
         c_set=c_set,
         d_set=d_set,
         triple=triple,
-        hidden_a=von_neumann(depth, atom(quad.x1)),
-        hidden_b=zermelo(depth, atom(quad.x1)),
+        hidden_a=hidden_a,
+        hidden_b=hidden_b,
     )
 
 
@@ -269,7 +269,7 @@ def distinctness_diagnostic(labels: Iterable[str], depth: int) -> DistinctnessRe
     diagonal = tuple(
         (i, j) for i, j, _ in collisions if _norm_pair(i, j) in _DIAGONAL_PAIRS
     )
-    c_set, d_set = _wings(quad, depth)
+    c_set, d_set, _, _ = _wings(quad, depth)
     overlap = intersect(c_set, d_set)
     omega = unite(c_set, d_set)
     return DistinctnessReport(

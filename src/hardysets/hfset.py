@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from itertools import pairwise
+from itertools import pairwise, repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -182,7 +182,7 @@ class HfSet:
             self._rank = 0
             chars = len(label)  # type: ignore[arg-type]
         else:
-            self._rank = 1 + max(map(_rank_of, children), default=-1)
+            self._rank = 1 + max(map(_rank_of, children)) if children else 0
             key = (1, len(children), tuple(map(_key_of, children)))
             self._key = _DeepKey(key) if self._rank >= _DEEP_RANK else key
             # braces, commas, members
@@ -252,11 +252,13 @@ def _intern(key: str | tuple) -> HfSet:
     """The node of an atom label or of a canonical member tuple, made on first use."""
     table = _ATOMS if type(key) is str else _SETS
     ref = table.get(key)
-    node = ref() if ref is not None else None
-    if node is None:
-        node = HfSet(label=key) if table is _ATOMS else HfSet(children=key)  # type: ignore[arg-type]
-        ref = table[key] = _Ref(node, _forget)
-        ref.key = key
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = HfSet(label=key) if table is _ATOMS else HfSet(children=key)  # type: ignore[arg-type]
+    ref = table[key] = _Ref(node, _forget)
+    ref.key = key
     return node
 
 
@@ -294,11 +296,9 @@ def atom(label: str) -> HfSet:
 def set_of(children: Iterable[HfSet]) -> HfSet:
     """The set of the given values, canonicalized."""
     kids = tuple(children)
-    for child in kids:
-        if not isinstance(child, HfSet):
-            raise TypeError(
-                f"set members must be HfSet values, got {type(child).__name__}"
-            )
+    if not all(map(isinstance, kids, repeat(HfSet))):
+        bad = next(c for c in kids if not isinstance(c, HfSet))
+        raise TypeError(f"set members must be HfSet values, got {type(bad).__name__}")
     return _canonical(kids)
 
 

@@ -17,6 +17,11 @@ integers (:func:`mass`, :func:`all_event_masses`, ``0 <= s <= L``);
 :class:`fractions.Fraction` appears only at the API boundary, where
 ``weights``, :func:`prob` and :func:`all_event_probabilities` return
 exact rationals. No floating point is used anywhere in this module.
+
+When the measure is uniform (all numerators equal), :func:`mass` is the
+event's popcount times that numerator, and the triple builds no table.
+Only non-uniform weights get subset-sum tables, one per eight elements,
+which :func:`mass` reads a byte of the event mask at a time.
 """
 
 from __future__ import annotations
@@ -121,7 +126,15 @@ class ProbabilityTriple:
     over ``denominator``, the least common denominator of all weights.
     """
 
-    __slots__ = ("_omega", "_weights", "_numerators", "_denominator", "_chunk_masses", "_index")
+    __slots__ = (
+        "_omega",
+        "_weights",
+        "_numerators",
+        "_denominator",
+        "_uniform_numerator",
+        "_chunk_masses",
+        "_index",
+    )
 
     def __init__(self, elements: Iterable[HfSet], weights: Iterable[Fraction | int]) -> None:
         elems = tuple(elements)
@@ -139,7 +152,7 @@ class ProbabilityTriple:
         for w in raw_weights:
             if isinstance(w, float):
                 raise TypeError("weights must be exact rationals, not floats")
-            exact.append(Fraction(w))
+            exact.append(w if type(w) is Fraction else Fraction(w))
         pairs = sorted(zip(elems, exact), key=lambda p: canonical_key(p[0]))
         dups = [
             print_set(pairs[i][0])
@@ -148,11 +161,11 @@ class ProbabilityTriple:
         ]
         if dups:
             raise DuplicateElement(sorted(set(dups)))
-        for _, w in pairs:
-            if w < 0:
-                raise ValueError("weights must be non-negative")
         denominator = math.lcm(*(w.denominator for _, w in pairs))
         numerators = tuple(w.numerator * (denominator // w.denominator) for _, w in pairs)
+        # A Fraction's denominator is positive, so its sign is its numerator's.
+        if min(numerators) < 0:
+            raise ValueError("weights must be non-negative")
         total = sum(numerators)
         if total != denominator:
             raise ValueError(
@@ -162,10 +175,17 @@ class ProbabilityTriple:
         self._weights = tuple(w for _, w in pairs)
         self._numerators = numerators
         self._denominator = denominator
-        self._chunk_masses = tuple(
-            _subset_sums(numerators[i : i + _CHUNK_BITS])
-            for i in range(0, len(numerators), _CHUNK_BITS)
-        )
+        # A uniform measure needs no subset-sum table: see mass().
+        first = numerators[0]
+        if numerators.count(first) == len(numerators):
+            self._uniform_numerator: int | None = first
+            self._chunk_masses: tuple[list[int], ...] = ()
+        else:
+            self._uniform_numerator = None
+            self._chunk_masses = tuple(
+                _subset_sums(numerators[i : i + _CHUNK_BITS])
+                for i in range(0, len(numerators), _CHUNK_BITS)
+            )
         self._index = {e: i for i, e in enumerate(self._omega)}
 
     @property
@@ -271,6 +291,8 @@ def event_from_set(s: HfSet, t: ProbabilityTriple) -> Event:
 def mass(e: Event, t: ProbabilityTriple) -> int:
     """Integer mass of an event: the sum of its weight numerators over ``t.denominator``."""
     _check_event(e, t)
+    if t._uniform_numerator is not None:
+        return e.mask.bit_count() * t._uniform_numerator
     total = 0
     mask = e.mask
     for sums in t._chunk_masses:

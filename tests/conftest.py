@@ -1,7 +1,8 @@
 import hypothesis
 import hypothesis.strategies as st
+import pytest
 
-from hardysets import atom, empty, set_of
+from hardysets import HfSet, atom, empty, set_of
 
 hypothesis.settings.register_profile(
     "deterministic",
@@ -24,3 +25,17 @@ hf_values = st.recursive(
 
 # top-level set nodes (the parser grammar's root is a set)
 hf_sets = st.lists(hf_values, max_size=5).map(set_of)
+
+
+@pytest.fixture
+def construct_calls(monkeypatch):
+    """Counts HfSet.__init__ runs, that is, nodes created."""
+    calls = []
+    original = HfSet.__init__
+
+    def counting(self, **fields):
+        calls.append(fields)
+        original(self, **fields)
+
+    monkeypatch.setattr(HfSet, "__init__", counting)
+    return calls

@@ -16,9 +16,12 @@ from hardysets import (
     intersect,
     intersection_identity_check,
     set_of,
+    unite,
     von_neumann,
     zermelo,
 )
+from hardysets.checks import _partition_quadruples
+from hardysets.hardy import _wings
 
 import expansion_oracle as oracle
 
@@ -215,3 +218,35 @@ def test_quadruples_suite_computes_the_residues_once_per_trial(annihilate_calls,
     assert main(["check", "--suite", "quadruples", "--trials", "10"]) == 0
     capsys.readouterr()
     assert len(annihilate_calls) == 2 * 10
+
+
+def test_fresh_model_creates_one_node_per_value(construct_calls):
+    # Per atom: the atom, vn levels 1-3 and zm levels 2-3 (zm(1) is vn(1));
+    # then the two wings and the sample space.
+    model = build_model(AtomQuadruple("fresh_n1", "fresh_n2", "fresh_n3", "fresh_n4"), 3)
+    assert len(construct_calls) == 4 * 6 + 3
+    assert model.triple.size == 16
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_wings_equal_the_unions_of_the_towers(depth):
+    for labels in _partition_quadruples():
+        a1, a2, a3, a4 = (atom(label) for label in labels)
+        c_set, d_set, vn_x1, zm_x1 = _wings(labels, depth)
+        assert c_set is unite(
+            unite(von_neumann(depth, a1), von_neumann(depth, a2)),
+            unite(zermelo(depth, a3), zermelo(depth, a4)),
+        )
+        assert d_set is unite(
+            unite(von_neumann(depth, a4), von_neumann(depth, a3)),
+            unite(zermelo(depth, a2), zermelo(depth, a1)),
+        )
+        assert vn_x1 is von_neumann(depth, a1)
+        assert zm_x1 is zermelo(depth, a1)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_hidden_sets_are_the_numerals_of_x1(depth):
+    m = build_model(STANDARD, depth)
+    assert m.hidden_a is von_neumann(depth, atom("x1"))
+    assert m.hidden_b is zermelo(depth, atom("x1"))

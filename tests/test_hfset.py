@@ -11,7 +11,6 @@ import hypothesis.strategies as st
 from hardysets import hfset
 from hardysets import (
     AtomOperand,
-    HfSet,
     ParseError,
     atom,
     cardinality,
@@ -260,20 +259,6 @@ def test_cached_rank_matches_reference(s):
     assert rank(s) == reference_rank(s)
 
 
-@pytest.fixture
-def construct_calls(monkeypatch):
-    """Counts HfSet.__init__ runs, that is, nodes created."""
-    calls = []
-    original = HfSet.__init__
-
-    def counting(self, **fields):
-        calls.append(fields)
-        original(self, **fields)
-
-    monkeypatch.setattr(HfSet, "__init__", counting)
-    return calls
-
-
 def test_numeral_creates_one_node_per_level(construct_calls):
     value = von_neumann(9, atom("fresh_count_probe"))
     assert len(construct_calls) == 10
@@ -396,3 +381,8 @@ def test_members_are_children(s):
     for c in s.children:
         assert member(c, s)
     assert not member(atom("zz_fresh_probe"), s)
+
+
+def test_set_of_rejects_a_non_value_member():
+    with pytest.raises(TypeError, match="^set members must be HfSet values, got int$"):
+        set_of([atom("a"), 3, empty()])

@@ -76,6 +76,53 @@ def test_weights_must_sum_to_one():
         ProbabilityTriple(elems, [Fraction(1, 2), Fraction(1, 3)])
 
 
+def test_negative_weights_rejected():
+    # The weights sum to 1, so only the sign check can reject them.
+    with pytest.raises(ValueError, match="^weights must be non-negative$"):
+        ProbabilityTriple(distinct_elements(2), [Fraction(3, 2), Fraction(-1, 2)])
+
+
+@pytest.mark.parametrize(
+    "elements, weights, error, message",
+    [
+        ([empty(), empty()], [Fraction(3, 2), Fraction(-1, 2)], DuplicateElement, "duplicate"),
+        ([empty(), atom("a")], [1.0, Fraction(-1)], TypeError, "not floats"),
+        ([empty(), atom("a")], [Fraction(-1), Fraction(1, 2)], ValueError, "non-negative"),
+        ([empty(), empty()], [1.5, Fraction(1)], TypeError, "not floats"),
+    ],
+    ids=["duplicate-before-sign", "float-before-sign", "sign-before-sum", "float-before-duplicate"],
+)
+def test_validation_precedence(elements, weights, error, message):
+    with pytest.raises(error, match=message):
+        ProbabilityTriple(elements, weights)
+
+
+def test_int_and_string_weights_stored_as_fractions():
+    t = ProbabilityTriple([empty()], [1])
+    assert t.weights == (Fraction(1),) and type(t.weights[0]) is Fraction
+    t = ProbabilityTriple(distinct_elements(3), ["1/3", "1/3", "1/3"])
+    assert all(type(w) is Fraction and w == Fraction(1, 3) for w in t.weights)
+    assert t.denominator == 3
+
+
+@pytest.mark.parametrize("n", [1, 8, 9, 20])
+@pytest.mark.parametrize("weighting", ["uniform", "skewed"])
+def test_mass_matches_brute_force_numerator_sum(weighting, n):
+    # Skewed weights are 1, 2, ..., n over n(n+1)/2; at n = 1 that is uniform too.
+    if weighting == "uniform":
+        weights = [Fraction(1, n)] * n
+    else:
+        weights = [Fraction(i + 1, n * (n + 1) // 2) for i in range(n)]
+    t = ProbabilityTriple(distinct_elements(n), weights)
+    numerators = [w.numerator * (t.denominator // w.denominator) for w in t.weights]
+    rng = random.Random(n)
+    masks = [0, t.full_mask] + [rng.getrandbits(n) for _ in range(300)]
+    for m in masks:
+        expected = sum(numerators[i] for i in range(n) if m >> i & 1)
+        assert mass(Event(m), t) == expected
+        assert prob(Event(m), t) == Fraction(expected, t.denominator)
+
+
 def test_nonuniform_weights_supported():
     elems = distinct_elements(3)
     t = ProbabilityTriple(elems, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
