@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -92,6 +94,7 @@ def random_hfset(
     Members are drawn depth first, in the order a recursive draw would
     take them, from an explicit stack of the sets still being drawn.
     """
+    atoms = [atom(label) for label in atom_pool]
     # One frame per set being drawn: [rank budget of its members,
     # members drawn, members still to draw].
     stack = [[max_rank - 1, [], rng.randint(0, max_breadth)]]
@@ -107,7 +110,7 @@ def random_hfset(
         else:
             frame[2] = left - 1
             if budget == 0 or rng.random() < 0.3:
-                members.append(atom(rng.choice(atom_pool)) if rng.random() < 0.7 else empty())
+                members.append(rng.choice(atoms) if rng.random() < 0.7 else empty())
             else:
                 stack.append([budget - 1, [], rng.randint(0, max_breadth)])
 
@@ -185,12 +188,12 @@ def check_axioms(seed: int = 42, trials: int = 10000) -> CheckOutcome:
     out.expect(report.total_mass_is_one, "P(omega) == 1 exactly")
 
     # Probabilities are compared as integer masses over t.denominator.
+    # full ^ m runs from full down to 0 as m runs up, so the complement
+    # masses are the table reversed.
     masses = all_event_masses(t)
     total = t.denominator
     full = t.full_mask
-    bad = next(
-        (m for m in range(full + 1) if masses[m] + masses[full ^ m] != total), None
-    )
+    bad = next(compress(count(), map(total.__ne__, map(add, masses, reversed(masses)))), None)
     out.expect(
         bad is None,
         f"P(E) + P(complement) == 1 for all {full + 1} events"
@@ -363,6 +366,7 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
             out.fail(text())
         return failures >= 5
 
+    fresh = atom("zz_fresh")
     for s in sets:
         text = print_set(s)
         if report(parse_set(text) == s, lambda: f"round trip failed for {text}"):
@@ -372,7 +376,7 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         for c in s.children:
             if report(member(c, s), lambda: f"child not a member: {print_set(c)} in {text}"):
                 return out
-        if report(not member(atom("zz_fresh"), s), lambda: f"fresh atom member of {text}"):
+        if report(not member(fresh, s), lambda: f"fresh atom member of {text}"):
             return out
 
     for i in range(len(sets) - 1):

@@ -257,8 +257,10 @@ def distinctness_diagnostic(labels: Iterable[str], depth: int) -> DistinctnessRe
     disjoint, and the resulting sample-space size. Its point is the
     counterexample family (a, b, a, d): all four adjacent conditions
     hold, yet the wings share the entire numeral tower of the repeated
-    atom.
+    atom. Like :func:`build_model` it requires depth >= 1.
     """
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     quad = tuple(labels)
     if len(quad) != 4:
         raise ValueError("expected exactly four atom labels")

@@ -13,7 +13,8 @@ a node costs O(members) however deep the values below it are. Nodes
 come only from :func:`atom`, :func:`empty`, :func:`set_of`, the set
 algebra and the parser; ``HfSet(...)`` is not a public constructor. A
 node lives as long as something refers to it, and its table entry goes
-with it.
+with it. The numeral towers, whose level tuples are canonical by
+construction, go to the set table without a sort.
 
 The canonical order puts atoms before set nodes, compares atoms by
 label, and compares set nodes by cardinality first and then childwise.
@@ -170,8 +171,8 @@ class HfSet:
         label: str | None = None,
         children: tuple["HfSet", ...] | None = None,
     ) -> None:
-        # Only _intern calls this: exactly one of label= or children=, the
-        # latter deduplicated and in canonical order.
+        # Only _intern_atom (label=) and _intern_set (children=, deduplicated
+        # and in canonical order) call this.
         if children is None:
             if not _ATOM_LABEL.match(label):  # type: ignore[arg-type]
                 raise ValueError(
@@ -243,37 +244,59 @@ class _Ref(weakref.ref):
 
 # The intern tables: atom label, or canonical member tuple, -> weak
 # reference to the one node of that value. The reference's callback
-# removes the entry when the node is freed.
+# removes the entry when the node is freed. Each table has its own
+# intern and forget function, so neither asks which table a key is for.
 _ATOMS: dict[str, _Ref] = {}
 _SETS: dict[tuple, _Ref] = {}
 
 
-def _intern(key: str | tuple) -> HfSet:
-    """The node of an atom label or of a canonical member tuple, made on first use."""
-    table = _ATOMS if type(key) is str else _SETS
-    ref = table.get(key)
+def _intern_atom(label: str) -> HfSet:
+    """The atom node of ``label``, made on first use."""
+    ref = _ATOMS.get(label)
     if ref is not None:
         node = ref()
         if node is not None:
             return node
-    node = HfSet(label=key) if table is _ATOMS else HfSet(children=key)  # type: ignore[arg-type]
-    ref = table[key] = _Ref(node, _forget)
-    ref.key = key
+    node = HfSet(label=label)
+    ref = _ATOMS[label] = _Ref(node, _forget_atom)
+    ref.key = label
     return node
 
 
-def _forget(ref: _Ref) -> None:
-    table = _ATOMS if type(ref.key) is str else _SETS
-    if table.get(ref.key) is ref:
-        del table[ref.key]
+def _intern_set(members: tuple) -> HfSet:
+    """The set node of a canonical member tuple, made on first use."""
+    ref = _SETS.get(members)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = HfSet(children=members)
+    ref = _SETS[members] = _Ref(node, _forget_set)
+    ref.key = members
+    return node
+
+
+def _forget_atom(ref: _Ref) -> None:
+    if _ATOMS.get(ref.key) is ref:
+        del _ATOMS[ref.key]
+
+
+def _forget_set(ref: _Ref) -> None:
+    if _SETS.get(ref.key) is ref:
+        del _SETS[ref.key]
 
 
 def _canonical(members: Iterable[HfSet]) -> HfSet:
-    """The set node of ``members``, given in any order and with repeats."""
-    return _intern(tuple(sorted(dict.fromkeys(members), key=_key_of)))
+    """The set node of ``members``, given in any order and with repeats.
+
+    The order-keeping de-duplication leaves the sorted runs of a union
+    or a parse for timsort; zero or one member needs no sort.
+    """
+    kids = dict.fromkeys(members)
+    return _intern_set(tuple(sorted(kids, key=_key_of)) if len(kids) > 1 else tuple(kids))
 
 
-_EMPTY = _intern(())
+_EMPTY = _intern_set(())
 
 
 def canonical_key(s: HfSet) -> tuple:
@@ -290,7 +313,7 @@ def atom(label: str) -> HfSet:
     """An atom with the given identifier label."""
     if not isinstance(label, str):
         raise TypeError(f"atom label must be a str, got {type(label).__name__}")
-    return _intern(label)
+    return _intern_atom(label)
 
 
 def set_of(children: Iterable[HfSet]) -> HfSet:
@@ -300,6 +323,34 @@ def set_of(children: Iterable[HfSet]) -> HfSet:
         bad = next(c for c in kids if not isinstance(c, HfSet))
         raise TypeError(f"set members must be HfSet values, got {type(bad).__name__}")
     return _canonical(kids)
+
+
+def _von_neumann_tower(base: HfSet, n: int) -> HfSet:
+    """Level ``n`` of the von Neumann numerals on ``base``, an atom or ∅.
+
+    Level k + 1 is the set of levels 0..k, and that tuple is canonical as
+    it stands: the base sorts first (an atom before every set node, ∅ as
+    the one set of cardinality 0) and level k has k members, so the
+    cardinality-first key ascends along it. Each level therefore goes to
+    the set table without the sort and member checks of :func:`set_of`.
+    The caller (:mod:`hardysets.numerals`) has checked ``base`` and ``n``.
+    """
+    levels = [base]
+    for _ in range(n):
+        levels.append(_intern_set(tuple(levels)))
+    return levels[n]
+
+
+def _zermelo_tower(base: HfSet, n: int) -> HfSet:
+    """Level ``n`` of the Zermelo numerals on ``base``: ``n`` nested singletons.
+
+    A one-member tuple is canonical, so each level goes to the set table
+    directly, as in :func:`_von_neumann_tower`.
+    """
+    current = base
+    for _ in range(n):
+        current = _intern_set((current,))
+    return current
 
 
 def equals(a: HfSet, b: HfSet) -> bool:
@@ -331,7 +382,7 @@ def intersect(a: HfSet, b: HfSet) -> HfSet:
     _check_set(b, "intersect")
     bk = set(b._children)  # type: ignore[arg-type]
     # A subsequence of a's members is already canonical.
-    return _intern(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
+    return _intern_set(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
 
 
 def cardinality(s: HfSet) -> int:
@@ -511,7 +562,7 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
                 starts.pop()
                 value = _EMPTY
             elif token and token not in "{},∅" and state != _START:
-                value = _intern(token)
+                value = _intern_atom(token)
             else:
                 expected = "'{' or '∅'" if state == _START else "a set or an atom identifier"
                 break

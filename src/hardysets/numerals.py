@@ -11,11 +11,17 @@ Levels above :data:`MAX_LEVEL` are refused with
 von Neumann numerals meet the printed-length bound of ``hfset`` long
 before that: they double in length with each level, so vn(26) is
 refused as it is built, whatever its base.
+
+Both towers are built by :mod:`hardysets.hfset`, which owns the
+canonical order: each level's member tuple is canonical as it stands,
+so it skips the sort and member checks of
+:func:`~hardysets.hfset.set_of`. This module checks the level and the
+base first.
 """
 
 from __future__ import annotations
 
-from .hfset import HfSet, ValueTooLarge, empty, set_of
+from .hfset import HfSet, ValueTooLarge, _von_neumann_tower, _zermelo_tower, empty
 
 __all__ = ["MAX_LEVEL", "numeral", "von_neumann", "zermelo"]
 
@@ -48,10 +54,7 @@ def von_neumann(n: int, base: HfSet | None = None) -> HfSet:
     Cardinality is n for n >= 1.
     """
     _check_level(n)
-    levels = [_check_base(base)]
-    for _ in range(n):
-        levels.append(set_of(levels))
-    return levels[n]
+    return _von_neumann_tower(_check_base(base), n)
 
 
 def zermelo(n: int, base: HfSet | None = None) -> HfSet:
@@ -60,10 +63,7 @@ def zermelo(n: int, base: HfSet | None = None) -> HfSet:
     Cardinality is 1 for n >= 1.
     """
     _check_level(n)
-    current = _check_base(base)
-    for _ in range(n):
-        current = set_of([current])
-    return current
+    return _zermelo_tower(_check_base(base), n)
 
 
 def numeral(system: str, n: int, base: HfSet | None = None) -> HfSet:

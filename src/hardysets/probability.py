@@ -22,6 +22,12 @@ When the measure is uniform (all numerators equal), :func:`mass` is the
 event's popcount times that numerator, and the triple builds no table.
 Only non-uniform weights get subset-sum tables, one per eight elements,
 which :func:`mass` reads a byte of the event mask at a time.
+
+Elements given in strictly ascending canonical order, as the members of
+a set node are, are taken as they stand: they are sorted and pairwise
+distinct already. Any other order is sorted and checked for duplicates.
+An :class:`Event` is a slotted frozen dataclass, so the tens of
+thousands an axiom check makes cost little more than their masks.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 from .hfset import HfSet, AtomOperand, canonical_key, print_set
@@ -119,8 +126,9 @@ class SampleSpaceTooLarge(ValueError):
 class ProbabilityTriple:
     """Sample space, implicit power-set event field, and exact measure.
 
-    Elements are sorted into canonical order at construction; events are
-    bitmasks over that order. Only the uniform constructor is used by
+    Elements are sorted into canonical order at construction, unless
+    their canonical keys already ascend strictly; events are bitmasks
+    over that order. Only the uniform constructor is used by
     the Hardy model, but arbitrary non-negative exact weights summing to
     one are accepted. Each weight is also kept as an integer numerator
     over ``denominator``, the least common denominator of all weights.
@@ -153,16 +161,25 @@ class ProbabilityTriple:
             if isinstance(w, float):
                 raise TypeError("weights must be exact rationals, not floats")
             exact.append(w if type(w) is Fraction else Fraction(w))
-        pairs = sorted(zip(elems, exact), key=lambda p: canonical_key(p[0]))
-        dups = [
-            print_set(pairs[i][0])
-            for i in range(1, len(pairs))
-            if pairs[i][0] == pairs[i - 1][0]
-        ]
-        if dups:
-            raise DuplicateElement(sorted(set(dups)))
-        denominator = math.lcm(*(w.denominator for _, w in pairs))
-        numerators = tuple(w.numerator * (denominator // w.denominator) for _, w in pairs)
+        keys = list(map(canonical_key, elems))
+        if all(map(lt, keys, keys[1:])):
+            # Strictly ascending keys: already canonical, and pairwise
+            # distinct because equal values have equal keys.
+            omega = elems
+            ordered = tuple(exact)
+        else:
+            pairs = sorted(zip(keys, elems, exact), key=itemgetter(0))
+            dups = [
+                print_set(pairs[i][1])
+                for i in range(1, len(pairs))
+                if pairs[i][1] == pairs[i - 1][1]
+            ]
+            if dups:
+                raise DuplicateElement(sorted(set(dups)))
+            omega = tuple(e for _, e, _ in pairs)
+            ordered = tuple(w for _, _, w in pairs)
+        denominator = math.lcm(*{w.denominator for w in ordered})
+        numerators = tuple(w.numerator * (denominator // w.denominator) for w in ordered)
         # A Fraction's denominator is positive, so its sign is its numerator's.
         if min(numerators) < 0:
             raise ValueError("weights must be non-negative")
@@ -171,8 +188,8 @@ class ProbabilityTriple:
             raise ValueError(
                 f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
             )
-        self._omega = tuple(e for e, _ in pairs)
-        self._weights = tuple(w for _, w in pairs)
+        self._omega = omega
+        self._weights = ordered
         self._numerators = numerators
         self._denominator = denominator
         # A uniform measure needs no subset-sum table: see mass().
@@ -186,7 +203,7 @@ class ProbabilityTriple:
                 _subset_sums(numerators[i : i + _CHUNK_BITS])
                 for i in range(0, len(numerators), _CHUNK_BITS)
             )
-        self._index = {e: i for i, e in enumerate(self._omega)}
+        self._index = {e: i for i, e in enumerate(omega)}
 
     @property
     def omega(self) -> tuple[HfSet, ...]:
@@ -226,9 +243,13 @@ def uniform_triple(elements: Iterable[HfSet]) -> ProbabilityTriple:
     return ProbabilityTriple(elems, [Fraction(1, n)] * n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """A subset of the sample space as a bitmask over canonical indices."""
+    """A subset of the sample space as a bitmask over canonical indices.
+
+    Slotted, with no ``__dict__``, because the axiom checks make tens of
+    thousands of short-lived events.
+    """
 
     mask: int
 
@@ -290,11 +311,12 @@ def event_from_set(s: HfSet, t: ProbabilityTriple) -> Event:
 
 def mass(e: Event, t: ProbabilityTriple) -> int:
     """Integer mass of an event: the sum of its weight numerators over ``t.denominator``."""
-    _check_event(e, t)
-    if t._uniform_numerator is not None:
-        return e.mask.bit_count() * t._uniform_numerator
-    total = 0
     mask = e.mask
+    if mask >> len(t._omega):
+        _check_event(e, t)
+    if t._uniform_numerator is not None:
+        return mask.bit_count() * t._uniform_numerator
+    total = 0
     for sums in t._chunk_masses:
         total += sums[mask & _CHUNK_MASK]
         mask >>= _CHUNK_BITS

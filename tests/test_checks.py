@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hardysets import atom, checks, empty, print_set, set_of
+from hardysets import AtomQuadruple, atom, build_model, checks, empty, print_set, set_of
 
 
 def algebra_sets(seed):
@@ -58,3 +58,26 @@ def test_algebra_failure_prints_operands(monkeypatch, name, broken, first_failur
     assert not out.passed
     assert len(failed) == 5
     assert failed[0] == "FAIL " + first_failure.format(print_set(sets[0]), print_set(sets[1]))
+
+
+@pytest.mark.parametrize("corrupt", [(0xFFF0,), (0x0003, 0xFFF0), (0x8000,), (0xFFFF,)])
+def test_axioms_complement_failure_names_the_lowest_mask(monkeypatch, corrupt):
+    real = checks.all_event_masses
+
+    def corrupted(t):
+        masses = real(t)
+        for m in corrupt:
+            masses[m] += 1
+        return masses
+
+    monkeypatch.setattr(checks, "all_event_masses", corrupted)
+    out = checks.check_axioms(seed=42, trials=10)
+    t = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3).triple
+    masses, full = corrupted(t), t.full_mask
+    # The first failure of the loop over every mask, as the suite once ran it.
+    first = next(m for m in range(full + 1) if masses[m] + masses[full ^ m] != t.denominator)
+    assert first == min(min(m, full ^ m) for m in corrupt)
+    failed = [line for line in out.lines if line.startswith("FAIL ")]
+    assert failed == [
+        f"FAIL P(E) + P(complement) == 1 for all 65536 events (first failure mask={first:#x})"
+    ]

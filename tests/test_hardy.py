@@ -139,6 +139,13 @@ def test_field_membership_partial_at_depth_four():
     assert not report["munion(hidden_b)"]
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_diagnostic_depth_validation(construct_calls, depth):
+    with pytest.raises(ValueError, match="^depth must be at least 1$"):
+        distinctness_diagnostic(("diag_a", "diag_b", "diag_c", "diag_d"), depth)
+    assert construct_calls == []
+
+
 def test_diagnostic_gap_quadruple():
     report = distinctness_diagnostic(("a", "b", "a", "d"), 3)
     assert report.satisfies_adjacent_conditions

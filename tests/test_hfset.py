@@ -263,6 +263,19 @@ def test_numeral_creates_one_node_per_level(construct_calls):
     value = von_neumann(9, atom("fresh_count_probe"))
     assert len(construct_calls) == 10
     assert rank(value) == 9
+    # While vn(n) lives, zm(n) over the same atom shares zm(1) = vn(1) with it.
+    construct_calls.clear()
+    assert rank(zermelo(9, atom("fresh_count_probe"))) == 9
+    assert len(construct_calls) == 8
+    for n in (1, 2, 5):
+        construct_calls.clear()
+        base = atom(f"fresh_count_probe{n}")
+        value = von_neumann(n, base)
+        assert rank(value) == n
+        assert len(construct_calls) == n + 1
+        construct_calls.clear()
+        assert rank(zermelo(n, base)) == n
+        assert len(construct_calls) == n - 1
 
 
 def test_reparse_of_a_live_value_creates_no_node(construct_calls):

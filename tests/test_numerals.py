@@ -1,6 +1,7 @@
 import pytest
 
 from hardysets import (
+    ValueTooLarge,
     atom,
     cardinality,
     empty,
@@ -90,6 +91,47 @@ def test_base_validation():
         von_neumann(2, set_of([empty()]))
     with pytest.raises(ValueError):
         von_neumann(-1)
+
+
+@pytest.mark.parametrize("build", [von_neumann, zermelo])
+@pytest.mark.parametrize(
+    "n, base, error, message",
+    [
+        (2, "a", TypeError, "numeral base must be an HfSet, got str"),
+        (2, set_of([empty()]), ValueError, "numeral base must be the empty set or an atom"),
+        (0, set_of([atom("a")]), ValueError, "numeral base must be the empty set or an atom"),
+        (-1, atom("a"), ValueError, "numeral level must be non-negative"),
+        (-1, "a", ValueError, "numeral level must be non-negative"),
+        (100_001, atom("a"), ValueTooLarge, "numeral level 100001 is above the limit of 100000"),
+        (100_001, "a", ValueTooLarge, "numeral level 100001 is above the limit of 100000"),
+    ],
+    ids=["str-base", "set-base", "set-base-level-0", "negative", "negative-before-base",
+         "past-max", "past-max-before-base"],
+)
+def test_numeral_errors(build, n, base, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build(n, base)
+
+
+@pytest.mark.parametrize("base", [empty(), atom("nb")], ids=["empty", "atom"])
+def test_levels_are_the_set_of_nodes(base):
+    # The towers skip set_of's sort, so a level built from a non-canonical
+    # tuple would be a second node of its value; set_of gets the earlier
+    # levels in reverse order and must sort them.
+    levels = [base]
+    singletons = [base]
+    for _ in range(12):
+        levels.append(set_of(reversed(levels)))
+        singletons.append(set_of([singletons[-1]]))
+    for n in (0, 1, 2, 3, 7, 12):
+        assert von_neumann(n, base) is levels[n]
+        assert zermelo(n, base) is singletons[n]
+
+
+def test_highest_zermelo_level_is_exact():
+    value = zermelo(100_000, atom("a"))
+    assert print_set(value) == "{" * 100_000 + "a" + "}" * 100_000
+    assert monadic_union(value) is zermelo(99_999, atom("a"))
 
 
 @pytest.mark.parametrize("n", range(0, 9))

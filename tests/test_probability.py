@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -31,6 +33,7 @@ from hardysets import (
     von_neumann,
     zermelo,
 )
+from hardysets.hfset import print_set
 from hardysets.probability import all_event_masses, all_event_probabilities, mass
 
 
@@ -103,6 +106,91 @@ def test_int_and_string_weights_stored_as_fractions():
     t = ProbabilityTriple(distinct_elements(3), ["1/3", "1/3", "1/3"])
     assert all(type(w) is Fraction and w == Fraction(1, 3) for w in t.weights)
     assert t.denominator == 3
+
+
+def canonical_elements(n):
+    """n distinct values in canonical order: atoms, then sets of several sizes."""
+    pool = [atom(f"p{i}") for i in range(40)] + [zermelo(i) for i in range(1, 30)]
+    pool += [von_neumann(i, atom("e")) for i in range(1, 16)]
+    return set_of(pool[:n]).children
+
+
+@pytest.mark.parametrize("n", [1, 8, 16, 84])
+@pytest.mark.parametrize("weighting", ["uniform", "skewed"])
+def test_canonical_and_shuffled_input_give_the_same_triple(weighting, n):
+    elements = canonical_elements(n)
+    assert len(elements) == n
+    if weighting == "uniform":
+        weights = [Fraction(1, n)] * n
+    else:
+        weights = [Fraction(i + 1, n * (n + 1) // 2) for i in range(n)]
+    rng = random.Random(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    canonical = ProbabilityTriple(elements, weights)
+    shuffled = ProbabilityTriple([elements[i] for i in order], [weights[i] for i in order])
+    assert canonical.omega == shuffled.omega == elements
+    assert canonical.weights == shuffled.weights == tuple(weights)
+    assert canonical.denominator == shuffled.denominator
+    for m in [0, canonical.full_mask] + [rng.getrandbits(n) for _ in range(200)]:
+        assert mass(Event(m), canonical) == mass(Event(m), shuffled)
+
+
+@pytest.mark.parametrize(
+    "repeats",
+    [(0, 0), (3,), (0, 3, 3), (7, 2)],
+    ids=["adjacent", "appended", "twice", "two-values"],
+)
+def test_duplicates_in_canonical_input_rejected(repeats):
+    # Canonical elements with some of them repeated: at the repeat, the keys
+    # stop ascending, and the sorting path reports every repeated value once.
+    base = canonical_elements(8)
+    elements = sorted([*base, *(base[i] for i in repeats)], key=base.index)
+    expected = sorted({print_set(base[i]) for i in repeats})
+    weights = [Fraction(1, len(elements))] * len(elements)
+    with pytest.raises(DuplicateElement) as exc:
+        ProbabilityTriple(elements, weights)
+    assert str(exc.value) == "duplicate sample-space elements: " + ", ".join(expected)
+
+
+def test_event_value_semantics():
+    a = Event(5)
+    assert a == Event(5) and a is not Event(5) and not a != Event(5)
+    assert a != Event(4) and a != 5 and a != (5,)
+    assert hash(a) == hash((5,))
+    assert {Event(5): "five"}[a] == "five"
+    assert len({Event(1), Event(1), Event(2)}) == 2
+    assert repr(a) == "Event(mask=5)"
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'mask'"):
+        a.mask = 3
+    # A name that is not a field cannot be set either; CPython 3.10 and
+    # 3.11 raise TypeError rather than FrozenInstanceError for it on a
+    # slotted frozen dataclass.
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError)):
+        a.other = 3
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'mask'"):
+        del a.mask
+    assert a.mask == 5
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert not hasattr(a, "__dict__")
+    assert dataclasses.is_dataclass(a)
+    assert [f.name for f in dataclasses.fields(Event)] == ["mask"]
+    assert dataclasses.asdict(a) == {"mask": 5}
+    assert dataclasses.replace(a, mask=2) == Event(2)
+    with pytest.raises(ValueError, match="^event mask must be non-negative$"):
+        dataclasses.replace(a, mask=-2)
+    match a:
+        case Event(m):
+            assert m == 5
+        case _:
+            pytest.fail("Event did not match its positional pattern")
+    with pytest.raises(ValueError, match="^event mask must be non-negative$"):
+        Event(-1)
+    e = Event.from_indices([5, 0, 2, 2])
+    assert e == Event(0b100101) and e.count == 3 and e.indices() == (0, 2, 5)
+    assert Event(0).count == 0 and Event(0).indices() == ()
+    with pytest.raises(IndexOutOfRange, match="^negative event index -1$"):
+        Event.from_indices([0, -1])
 
 
 @pytest.mark.parametrize("n", [1, 8, 9, 20])
