@@ -184,15 +184,18 @@ def check_axioms(seed: int = 42, trials: int = 10000) -> CheckOutcome:
         not report.union_closure.failures,
         f"union closure on {report.union_closure.checked} sampled pairs",
     )
-    out.expect(report.measure_bounds, "0 <= P(X) <= 1 for all events")
-    out.expect(report.total_mass_is_one, "P(omega) == 1 exactly")
 
-    # Probabilities are compared as integer masses over t.denominator.
-    # full ^ m runs from full down to 0 as m runs up, so the complement
-    # masses are the table reversed.
+    # verify_axioms states the measure axioms from the constructor's
+    # invariant; this suite tests them on the event table. Probabilities
+    # are compared as integer masses over t.denominator.
     masses = all_event_masses(t)
     total = t.denominator
     full = t.full_mask
+    out.expect(min(masses) >= 0 and max(masses) <= total, "0 <= P(X) <= 1 for all events")
+    out.expect(masses[full] == total, "P(omega) == 1 exactly")
+
+    # full ^ m runs from full down to 0 as m runs up, so the complement
+    # masses are the table reversed.
     bad = next(compress(count(), map(total.__ne__, map(add, masses, reversed(masses)))), None)
     out.expect(
         bad is None,

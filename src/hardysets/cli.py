@@ -32,7 +32,6 @@ from .numerals import numeral
 from .probability import SampleSpaceTooLarge, field_size_log2, verify_axioms
 from .hardy import (
     AtomQuadruple,
-    NonDistinctAtoms,
     build_model,
     field_membership_report,
     hardy_probability,
@@ -300,7 +299,7 @@ def _yn(flag: bool) -> str:
 def _cmd_reproduce(args) -> int:
     try:
         report = build_reproduction_report(args.atoms, args.depth)
-    except (NonDistinctAtoms, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "machine":
@@ -313,7 +312,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_eval(args) -> int:
     try:
         value = evaluate_expression(args.expression)
-    except (ExpressionError, AtomOperand, ValueError) as exc:
+    except (AtomOperand, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(value, int):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hardysets import AtomQuadruple, atom, build_model, checks, empty, print_set, set_of
+from hardysets import AtomQuadruple, atom, build_model, checks, empty, print_set, probability, set_of
 
 
 def algebra_sets(seed):
@@ -60,17 +60,34 @@ def test_algebra_failure_prints_operands(monkeypatch, name, broken, first_failur
     assert failed[0] == "FAIL " + first_failure.format(print_set(sets[0]), print_set(sets[1]))
 
 
-@pytest.mark.parametrize("corrupt", [(0xFFF0,), (0x0003, 0xFFF0), (0x8000,), (0xFFFF,)])
-def test_axioms_complement_failure_names_the_lowest_mask(monkeypatch, corrupt):
+BOUND_FAIL = "FAIL 0 <= P(X) <= 1 for all events"
+TOTAL_FAIL = "FAIL P(omega) == 1 exactly"
+
+
+def complement_fail(mask):
+    return f"FAIL P(E) + P(complement) == 1 for all 65536 events (first failure mask={mask:#x})"
+
+
+def corrupt_axiom_table(monkeypatch, change):
+    """Make the axioms suite read a table that ``change`` edits in place."""
     real = checks.all_event_masses
 
     def corrupted(t):
         masses = real(t)
-        for m in corrupt:
-            masses[m] += 1
+        change(masses)
         return masses
 
     monkeypatch.setattr(checks, "all_event_masses", corrupted)
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt", [(0xFFF0,), (0x0003, 0xFFF0), (0x8000,), (0xFFFF,)])
+def test_axioms_complement_failure_names_the_lowest_mask(monkeypatch, corrupt):
+    def bump(masses):
+        for m in corrupt:
+            masses[m] += 1
+
+    corrupted = corrupt_axiom_table(monkeypatch, bump)
     out = checks.check_axioms(seed=42, trials=10)
     t = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3).triple
     masses, full = corrupted(t), t.full_mask
@@ -78,6 +95,43 @@ def test_axioms_complement_failure_names_the_lowest_mask(monkeypatch, corrupt):
     first = next(m for m in range(full + 1) if masses[m] + masses[full ^ m] != t.denominator)
     assert first == min(min(m, full ^ m) for m in corrupt)
     failed = [line for line in out.lines if line.startswith("FAIL ")]
-    assert failed == [
-        f"FAIL P(E) + P(complement) == 1 for all 65536 events (first failure mask={first:#x})"
-    ]
+    # Only the bump at the full mask takes a mass past L, and P(omega) with it.
+    table_fails = [BOUND_FAIL, TOTAL_FAIL] if full in corrupt else []
+    assert failed == [*table_fails, complement_fail(first)]
+
+
+# The depth-3 triple has L = 16, so 17 is L + 1.
+@pytest.mark.parametrize(
+    "mask, value, expected",
+    [
+        (0x0000, -1, [BOUND_FAIL, complement_fail(0x0)]),
+        (0x0421, -1, [BOUND_FAIL, complement_fail(0x421)]),
+        (0xFFFF, 17, [BOUND_FAIL, TOTAL_FAIL, complement_fail(0x0)]),
+    ],
+    ids=["negative-empty", "negative-inner", "full-is-L+1"],
+)
+def test_axioms_bound_and_total_read_from_the_table(monkeypatch, mask, value, expected):
+    # verify_axioms states the bound and the total; the suite tests them on
+    # its table, so a corrupted table fails them, in suite order.
+    def change(masses):
+        masses[mask] = value
+
+    corrupt_axiom_table(monkeypatch, change)
+    out = checks.check_axioms(seed=42, trials=10)
+    assert not out.passed
+    assert [line for line in out.lines if line.startswith("FAIL ")] == expected
+
+
+def test_axioms_suite_builds_one_event_table(monkeypatch):
+    built = []
+    real = probability._subset_sums
+
+    def counted(numerators):
+        built.append(len(numerators))
+        return real(numerators)
+
+    # The depth-3 triple is uniform, so its constructor builds no table.
+    monkeypatch.setattr(probability, "_subset_sums", counted)
+    out = checks.check_axioms(seed=7, trials=10)
+    assert out.passed
+    assert built == [16]

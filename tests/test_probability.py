@@ -33,6 +33,7 @@ from hardysets import (
     von_neumann,
     zermelo,
 )
+from hardysets import probability
 from hardysets.hfset import print_set
 from hardysets.probability import all_event_masses, all_event_probabilities, mass
 
@@ -339,8 +340,8 @@ def test_verify_axioms_size_bound():
         verify_axioms(big, 10, 0)
 
 
-# Field closure holds by construction, so the largest admitted space costs
-# only the sampled measure bound, not a loop over its 2^24 events.
+# The field and measure axioms hold by construction, so the largest admitted
+# space costs no more than the smallest: no event of its 2^24 is measured.
 def test_verify_axioms_does_not_sweep_the_field():
     t = uniform_triple(distinct_elements(24))
     start = time.perf_counter()
@@ -349,6 +350,47 @@ def test_verify_axioms_does_not_sweep_the_field():
     assert report.passed
     assert report.complement_closure.checked == 1 << 24
     assert elapsed < 0.5, f"verify_axioms took {elapsed:.3f}s at |omega| = 24"
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 24])
+@pytest.mark.parametrize("weighting", ["uniform", "skewed"])
+def test_verify_axioms_measures_no_event(monkeypatch, weighting, n):
+    # The report states the constructor's invariant: it builds no event
+    # table, samples no event and reads no mass.
+    if weighting == "uniform":
+        t = uniform_triple(distinct_elements(n))
+    else:
+        t = ProbabilityTriple(
+            distinct_elements(n), [Fraction(i + 1, n * (n + 1) // 2) for i in range(n)]
+        )
+
+    def refuse(*args):
+        raise AssertionError("verify_axioms measured an event")
+
+    for name in ("all_event_masses", "mass", "_subset_sums"):
+        monkeypatch.setattr(probability, name, refuse)
+    for samples, seed in [(10000, 42), (3, -5)]:
+        assert verify_axioms(t, samples, seed).to_dict() == {
+            "omega_in_field": True,
+            "complement_closure": {"checked_count": 1 << n, "failures": []},
+            "union_closure": {"checked_count": samples, "seed": seed, "failures": []},
+            "measure_bounds": True,
+            "total_mass_is_one": True,
+            "passed": True,
+        }
+
+
+@pytest.mark.parametrize("name", ["omega", "weights", "denominator", "full_mask"])
+def test_triple_has_no_setters(hardy_triple, name):
+    # With the constructor's sign and sum checks, this is why verify_axioms
+    # may state the measure axioms instead of testing them.
+    before = getattr(hardy_triple, name)
+    with pytest.raises(AttributeError):
+        setattr(hardy_triple, name, before)
+    with pytest.raises(AttributeError):
+        delattr(hardy_triple, name)
+    assert not hasattr(hardy_triple, "__dict__")
+    assert getattr(hardy_triple, name) == before
 
 
 def test_all_event_probabilities_table(hardy_triple):
