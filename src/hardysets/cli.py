@@ -2,9 +2,8 @@
 
 Exit codes: 0 when every performed check passes, 1 when a check fails,
 2 on usage errors (bad flags, malformed expressions, invalid atom
-quadruples), on expressions whose function calls nest too deeply, and on
-values past the size bounds (``hfset.MAX_PRINT_CHARS`` printed
-characters, ``numerals.MAX_LEVEL`` numeral levels).
+quadruples) and on values past the size bounds (``hfset.MAX_PRINT_CHARS``
+printed characters, ``numerals.MAX_LEVEL`` numeral levels).
 """
 
 from __future__ import annotations
@@ -14,10 +13,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .hfset import (
-    HfSet,
-    AtomOperand,
     ParseError,
     atom,
     cardinality,
@@ -48,6 +46,7 @@ _QUANTUM_TOL = 1e-12
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"[0-9]+")
+_SPACE = re.compile(r"\s*")  # the characters of str.isspace
 
 
 class ExpressionError(ValueError):
@@ -63,126 +62,125 @@ class ExpressionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class _ExprParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+# name -> (arity, operation); the operation runs once every argument is checked
+_FUNCTIONS = {
+    "union": (2, unite),
+    "intersect": (2, intersect),
+    "munion": (1, monadic_union),
+    "card": (1, cardinality),
+    "vn": (2, partial(numeral, "vn")),
+    "zm": (2, partial(numeral, "zm")),
+}
 
-    def _byte(self, pos: int) -> int:
-        return len(self.text[:pos].encode("utf-8"))
 
-    def fail(self, message: str, pos: int | None = None) -> None:
-        raise ExpressionError(self._byte(self.pos if pos is None else pos), message)
+def _error(text: str, pos: int, message: str) -> ExpressionError:
+    return ExpressionError(len(text[:pos].encode("utf-8")), message)
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _at(self, ch: str) -> bool:
-        return self.pos < len(self.text) and self.text[self.pos] == ch
+def _read(text: str):
+    """Read ``text`` into nodes, keeping a stack of the calls still open.
 
-    def parse(self):
-        node = self.parse_expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self.fail("expected end of input")
-        return node
-
-    def parse_expr(self):
-        self._skip_ws()
-        start = self.pos
-        if self._at("{") or self._at("∅"):
+    A node is ``("value", HfSet, start)``, ``("number", int, start)`` or
+    ``("call", name, args, start)``; ``start`` is its character offset.
+    """
+    open_calls = []
+    pos = 0
+    while True:
+        pos = start = _SPACE.match(text, pos).end()
+        if text.startswith(("{", "∅"), pos):
             try:
-                value, self.pos = parse_set_prefix(self.text, self.pos)
+                value, pos = parse_set_prefix(text, pos)
             except ParseError as exc:
                 raise ExpressionError(exc.byte_offset, f"expected {exc.expected}") from exc
-            return ("value", value, start)
-        m = _NUMBER.match(self.text, self.pos)
-        if m:
+            node = ("value", value, start)
+        elif number := _NUMBER.match(text, pos):
             try:
-                number = int(m.group())
+                node = ("number", int(number.group()), start)
             except ValueError:  # past the interpreter's int-from-text digit limit
-                self.fail(f"number has more than {sys.get_int_max_str_digits()} digits", start)
-            self.pos = m.end()
-            return ("number", number, start)
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            self.fail("expected a set literal, a function call, or an identifier")
-        name = m.group()
-        self.pos = m.end()
-        self._skip_ws()
-        if self._at("("):
-            self.pos += 1
-            args = []
-            self._skip_ws()
-            if self._at(")"):
-                self.pos += 1
+                raise _error(
+                    text, start, f"number has more than {sys.get_int_max_str_digits()} digits"
+                ) from None
+            pos = number.end()
+        elif not (name := _IDENT.match(text, pos)):
+            raise _error(text, pos, "expected a set literal, a function call, or an identifier")
+        else:
+            pos = _SPACE.match(text, name.end()).end()
+            if not text.startswith("(", pos):
+                node = ("value", atom(name.group()), start)
             else:
-                args.append(self.parse_expr())
-                while True:
-                    self._skip_ws()
-                    if self._at(","):
-                        self.pos += 1
-                        args.append(self.parse_expr())
-                        continue
-                    if self._at(")"):
-                        self.pos += 1
-                        break
-                    self.fail("expected ',' or ')'")
-            return ("call", name, args, start)
-        return ("value", atom(name), start)
+                node = ("call", name.group(), [], start)
+                pos = _SPACE.match(text, pos + 1).end()
+                if not text.startswith(")", pos):
+                    open_calls.append(node)
+                    continue
+                pos += 1
+        # A finished node is the next argument of the innermost open call,
+        # or the whole expression when no call is open.
+        while open_calls:
+            open_calls[-1][2].append(node)
+            pos = _SPACE.match(text, pos).end()
+            if text.startswith(",", pos):
+                pos += 1
+                break
+            if not text.startswith(")", pos):
+                raise _error(text, pos, "expected ',' or ')'")
+            pos += 1
+            node = open_calls.pop()
+        else:
+            pos = _SPACE.match(text, pos).end()
+            if pos != len(text):
+                raise _error(text, pos, "expected end of input")
+            return node
 
 
-def _eval_node(node, parser: _ExprParser):
-    kind = node[0]
-    if kind == "value":
-        return node[1]
-    if kind == "number":
-        return node[1]
-    _, name, args, start = node
-
-    def want_set(i: int) -> HfSet:
-        value = _eval_node(args[i], parser)
-        if isinstance(value, int):
-            parser.fail(f"{name} expects a set, got a number", args[i][-1])
-        if value.is_atom:
-            parser.fail(f"{name} expects a set, got atom '{value.label}'", args[i][-1])
-        return value
-
-    def want_arity(k: int) -> None:
-        if len(args) != k:
-            parser.fail(f"{name} expects {k} argument(s), got {len(args)}", start)
-
-    if name == "union":
-        want_arity(2)
-        return unite(want_set(0), want_set(1))
-    if name == "intersect":
-        want_arity(2)
-        return intersect(want_set(0), want_set(1))
-    if name == "munion":
-        want_arity(1)
-        return monadic_union(want_set(0))
-    if name == "card":
-        want_arity(1)
-        return cardinality(want_set(0))
+def _check_argument(text: str, name: str, index: int, value, start: int) -> None:
     if name in ("vn", "zm"):
-        want_arity(2)
-        level = _eval_node(args[0], parser)
-        if not isinstance(level, int):
-            parser.fail(f"{name} expects a numeral level as first argument", args[0][-1])
-        base = _eval_node(args[1], parser)
-        if isinstance(base, int):
-            parser.fail(f"{name} base must be an atom or the empty set", args[1][-1])
-        if not (base.is_atom or base == empty()):
-            parser.fail(f"{name} base must be an atom or the empty set", args[1][-1])
-        return numeral(name, level, base)
-    parser.fail(f"unknown function '{name}'", start)
+        if index == 0:
+            if not isinstance(value, int):
+                raise _error(text, start, f"{name} expects a numeral level as first argument")
+        elif isinstance(value, int) or not (value.is_atom or value == empty()):
+            raise _error(text, start, f"{name} base must be an atom or the empty set")
+    elif isinstance(value, int):
+        raise _error(text, start, f"{name} expects a set, got a number")
+    elif value.is_atom:
+        raise _error(text, start, f"{name} expects a set, got atom '{value.label}'")
 
 
 def evaluate_expression(text: str):
-    """Evaluate an expression to an HfSet or an integer (for card)."""
-    parser = _ExprParser(text)
-    return _eval_node(parser.parse(), parser)
+    """Evaluate an expression to an HfSet or an integer (for card).
+
+    The whole text is read first, so a malformed expression is reported
+    before any evaluation error. A call's name and arity are checked
+    before its arguments; each argument is evaluated and checked, left to
+    right, before the next one.
+    """
+    node = _read(text)
+    frames = []  # (name, args, values) of the calls under evaluation
+    while True:
+        if node[0] == "call":
+            _, name, args, start = node
+            if name not in _FUNCTIONS:
+                raise _error(text, start, f"unknown function '{name}'")
+            arity = _FUNCTIONS[name][0]
+            if len(args) != arity:
+                raise _error(text, start, f"{name} expects {arity} argument(s), got {len(args)}")
+            frames.append((name, args, []))
+            node = args[0]
+            continue
+        value = node[1]
+        # Hand the value to the innermost call; apply each call whose
+        # arguments are all in.
+        while frames:
+            name, args, values = frames[-1]
+            _check_argument(text, name, len(values), value, args[len(values)][-1])
+            values.append(value)
+            if len(values) < len(args):
+                node = args[len(values)]
+                break
+            frames.pop()
+            value = _FUNCTIONS[name][1](*values)
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +310,7 @@ def _cmd_reproduce(args) -> int:
 def _cmd_eval(args) -> int:
     try:
         value = evaluate_expression(args.expression)
-    except (AtomOperand, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if isinstance(value, int):
@@ -446,15 +444,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except RecursionError:
-        print(
-            "error: expression is nested too deeply "
-            f"(Python recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
-        return 2
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -429,9 +429,12 @@ def verify_axioms(t: ProbabilityTriple, union_samples: int, seed: int) -> AxiomR
     complement of ``m`` is ``full_mask ^ m`` and the union of ``a`` and
     ``b`` is ``a | b``, each again a bitmask below 2^|omega|, and omega
     itself is ``full_mask``. The constructor rejects a negative numerator
-    and numerators that do not sum to L, and the slotted triple has no
-    setters, so every event mass is a sub-sum s of non-negative
-    numerators with 0 <= s <= L, and omega has mass exactly L.
+    and numerators that do not sum to L, and the triple's public names
+    have no setters, so for a triple as the constructor built it every
+    event mass is a sub-sum s of non-negative numerators with
+    0 <= s <= L, and omega has mass exactly L. The private slots are not
+    guarded: a triple whose ``_numerators`` were assigned after
+    construction can break the measure axioms while this report passes.
 
     The report records these arguments: omega is in the field,
     ``complement_closure.checked`` is 2^|omega|, the events the argument

@@ -118,6 +118,9 @@ DEEP_VALUES = {
         "union(zm(3000,b),zm(3000,a))",
         "{" + zm_text(2999, "a") + "," + zm_text(2999, "b") + "}",
     ),
+    # function calls nested far past Python's recursion limit
+    "call-nesting-2000": ("munion(" * 2000 + "{}" + ")" * 2000, "{}"),
+    "call-nesting-20000": ("munion(" * 20000 + "{}" + ")" * 20000, "{}"),
 }
 
 
@@ -157,15 +160,52 @@ REFUSED = {
     "number-5000-digits": (
         ("eval", "vn(" + "9" * 5000 + ",a)"),
         f"error at byte 3: number has more than {sys.get_int_max_str_digits()} digits"),
-    "call-nesting-2000": (
-        ("eval", "munion(" * 2000 + "{}" + ")" * 2000),
-        f"expression is nested too deeply (Python recursion limit {sys.getrecursionlimit()})"),
 }
 
 
 @pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED)
 def test_inputs_past_the_bounds_are_usage_errors(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+# Exact stderr of expressions that fail, pinning which error wins: the whole
+# text is read before anything is evaluated, a call's name and arity are
+# checked before its arguments, and arguments fail left to right. An 'é'
+# is never valid, so no error lies after one; the offsets count '∅' as
+# three bytes.
+EVAL_ERRORS = {
+    "unknown-before-arguments": (
+        "frob(vn(1000000,a))", "error at byte 0: unknown function 'frob'"),
+    "arity-before-arguments": (
+        "munion(a,b)", "error at byte 0: munion expects 1 argument(s), got 2"),
+    "left-argument-first": ("union(a,b)", "error at byte 6: union expects a set, got atom 'a'"),
+    "parse-before-evaluation": ("munion(a) }", "error at byte 10: expected end of input"),
+    "parse-in-literal-before-evaluation": (
+        "union(x1,{a,}", "error at byte 12: expected a set or an atom identifier"),
+    "vn-level": ("vn({},a)", "error at byte 3: vn expects a numeral level as first argument"),
+    "zm-level-before-base": (
+        "zm(a,b)", "error at byte 3: zm expects a numeral level as first argument"),
+    "vn-base": ("vn(1,{a})", "error at byte 5: vn base must be an atom or the empty set"),
+    "zm-base-number": ("zm(2,3)", "error at byte 5: zm base must be an atom or the empty set"),
+    "card-number": ("card(card({}))", "error at byte 5: card expects a set, got a number"),
+    "offset-after-empty-set": (
+        "union(∅,a)", "error at byte 10: union expects a set, got atom 'a'"),
+    "offset-of-e-acute": (
+        "intersect(∅,é)",
+        "error at byte 14: expected a set literal, a function call, or an identifier"),
+    "trailing-e-acute": ("munion(∅) é", "error at byte 12: expected end of input"),
+    # errors 20,000 calls down
+    "atom-operand-20000-deep": (
+        "munion(" * 20000 + "a" + ")" * 20000,
+        "error at byte 140000: munion expects a set, got atom 'a'"),
+    "unclosed-call-20000-deep": (
+        "munion(" * 20000 + "{}", "error at byte 140002: expected ',' or ')'"),
+}
+
+
+@pytest.mark.parametrize("expression, message", EVAL_ERRORS.values(), ids=EVAL_ERRORS)
+def test_eval_errors_exact(capsys, expression, message):
+    assert run(capsys, "eval", expression) == (2, "", f"error: {message}\n")
 
 
 def test_eval_type_errors(capsys):

@@ -342,18 +342,13 @@ def test_self_calls_sees_direct_and_method_recursion(tmp_path):
     assert self_calls(source) == {"f", "g"}
 
 
-# The expression reader and evaluator of `eval` still recurse once per
-# nested call; ROADMAP item 5 replaces them with one explicit-stack loop.
-KNOWN_RECURSIVE = {"cli.py": {"parse_expr", "_eval_node"}}
-
-
 def test_no_function_in_src_recurses():
     # Deep values must never reach Python's recursion limit: no function
-    # of the package calls itself, but the two known ones.
+    # of the package calls itself.
     sources = sorted(SRC.glob("*.py"))
     assert HFSET_SOURCE in sources
     found = {path.name: self_calls(path) for path in sources}
-    assert {name: calls for name, calls in found.items() if calls} == KNOWN_RECURSIVE
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 @given(hf_values, hf_values)
