@@ -5,73 +5,20 @@ towers, exact-rational finite probability triples, a two-wing
 annihilation model whose joint double-detection probability is exactly
 1/16 at depth 3, and an independent quantum amplitude oracle confirming
 the same number.
+
+The package imports none of its modules itself. A public name is
+loaded on first use from the one module whose own ``__all__`` lists it,
+so the set engine (``hfset``, ``numerals``, ``probability`` and
+``hardy``) imports without numpy; the quantum oracle's names load it.
 """
 
-from .hfset import (
-    AtomOperand,
-    HfSet,
-    ParseError,
-    ValueTooLarge,
-    atom,
-    cardinality,
-    empty,
-    equals,
-    intersect,
-    member,
-    monadic_union,
-    parse_set,
-    parse_set_prefix,
-    print_set,
-    rank,
-    set_of,
-    unite,
-)
-from .numerals import numeral, von_neumann, zermelo
-from .probability import (
-    AxiomReport,
-    DuplicateElement,
-    EmptySampleSpace,
-    Event,
-    IndexOutOfRange,
-    NotAnEvent,
-    ProbabilityTriple,
-    SampleSpaceTooLarge,
-    complement,
-    event_from_set,
-    field_size_log2,
-    full_event,
-    intersect_events,
-    prob,
-    uniform_triple,
-    union_events,
-    verify_axioms,
-)
-from .hardy import (
-    AtomQuadruple,
-    DistinctnessReport,
-    HardyModel,
-    HardyResult,
-    NonDistinctAtoms,
-    annihilate,
-    build_model,
-    distinctness_diagnostic,
-    field_membership_report,
-    hardy_probability,
-    intersection_identity_check,
-)
-from .quantum import (
-    BeamSplitterConvention,
-    DEFAULT_CONVENTION,
-    GAMMA,
-    NonUnitaryConvention,
-    OutcomeDistribution,
-    QuantumState,
-    apply_annihilation,
-    apply_beam_splitter,
-    run_double_mzi,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# Searched in this order for a public name. The quantum oracle, the one
+# module that loads numpy, comes last, so no set-engine name loads it.
+_MODULES = ("hfset", "numerals", "probability", "hardy", "quantum")
 
 __all__ = [
     "AtomOperand",
@@ -132,3 +79,20 @@ __all__ = [
     "von_neumann",
     "zermelo",
 ]
+
+
+def __getattr__(name: str):
+    """One of the five modules, or a public name from its owner module; cached once read."""
+    if name in _MODULES:
+        value = import_module(f"{__name__}.{name}")
+    elif name in __all__:
+        modules = (import_module(f"{__name__}.{m}") for m in _MODULES)
+        value = getattr(next(m for m in modules if name in m.__all__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -322,11 +322,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_check(args) -> int:
     names = [args.suite] if args.suite else None
-    try:
-        outcomes = run_suites(names, seed=args.seed, trials=args.trials)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcomes = run_suites(names, seed=args.seed, trials=args.trials)
     detail = args.verbose or args.suite is not None
     all_passed = True
     for outcome in outcomes:

@@ -72,17 +72,12 @@ class NonDistinctAtoms(ValueError):
         for i, j, label in self.collisions:
             kind = (
                 "violates the adjacent distinctness conditions"
-                if _norm_pair(i, j) in _ADJACENT_PAIRS
+                if (i, j) in _ADJACENT_PAIRS
                 else "a diagonal pair outside the four adjacent conditions, "
                 "still required for wing disjointness"
             )
             parts.append(f"(x{i},x{j}) share {label!r} ({kind})")
         super().__init__("non-distinct atom quadruple: " + "; ".join(parts))
-
-
-def _norm_pair(i: int, j: int) -> tuple[int, int]:
-    pair = (i, j) if i < j else (j, i)
-    return pair if pair != (1, 4) else (4, 1)
 
 
 @dataclass(frozen=True)
@@ -266,10 +261,10 @@ def distinctness_diagnostic(labels: Iterable[str], depth: int) -> DistinctnessRe
         raise ValueError("expected exactly four atom labels")
     collisions = _collisions(quad)
     adjacent = tuple(
-        (i, j) for i, j, _ in collisions if _norm_pair(i, j) in _ADJACENT_PAIRS
+        (i, j) for i, j, _ in collisions if (i, j) in _ADJACENT_PAIRS
     )
     diagonal = tuple(
-        (i, j) for i, j, _ in collisions if _norm_pair(i, j) in _DIAGONAL_PAIRS
+        (i, j) for i, j, _ in collisions if (i, j) in _DIAGONAL_PAIRS
     )
     c_set, d_set, _, _ = _wings(quad, depth)
     overlap = intersect(c_set, d_set)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
@@ -132,6 +133,8 @@ class ProbabilityTriple:
     the Hardy model, but arbitrary non-negative exact weights summing to
     one are accepted. Each weight is also kept as an integer numerator
     over ``denominator``, the least common denominator of all weights.
+    A triple is immutable: after the constructor no attribute, public or
+    private, can be assigned or deleted.
     """
 
     __slots__ = (
@@ -188,22 +191,35 @@ class ProbabilityTriple:
             raise ValueError(
                 f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
             )
-        self._omega = omega
-        self._weights = ordered
-        self._numerators = numerators
-        self._denominator = denominator
         # A uniform measure needs no subset-sum table: see mass().
         first = numerators[0]
         if numerators.count(first) == len(numerators):
-            self._uniform_numerator: int | None = first
-            self._chunk_masses: tuple[list[int], ...] = ()
+            uniform_numerator, chunk_masses = first, ()
         else:
-            self._uniform_numerator = None
-            self._chunk_masses = tuple(
+            uniform_numerator = None
+            chunk_masses = tuple(
                 _subset_sums(numerators[i : i + _CHUNK_BITS])
                 for i in range(0, len(numerators), _CHUNK_BITS)
             )
-        self._index = {e: i for i, e in enumerate(omega)}
+        # The only writes: __setattr__ refuses every later one.
+        init = partial(object.__setattr__, self)
+        init("_omega", omega)
+        init("_weights", ordered)
+        init("_numerators", numerators)
+        init("_denominator", denominator)
+        init("_uniform_numerator", uniform_numerator)
+        init("_chunk_masses", chunk_masses)
+        init("_index", {e: i for i, e in enumerate(omega)})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"ProbabilityTriple is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"ProbabilityTriple is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Copies and unpickled triples are rebuilt through the constructor's checks.
+        return type(self), (self._omega, self._weights)
 
     @property
     def omega(self) -> tuple[HfSet, ...]:
@@ -429,12 +445,10 @@ def verify_axioms(t: ProbabilityTriple, union_samples: int, seed: int) -> AxiomR
     complement of ``m`` is ``full_mask ^ m`` and the union of ``a`` and
     ``b`` is ``a | b``, each again a bitmask below 2^|omega|, and omega
     itself is ``full_mask``. The constructor rejects a negative numerator
-    and numerators that do not sum to L, and the triple's public names
-    have no setters, so for a triple as the constructor built it every
-    event mass is a sub-sum s of non-negative numerators with
-    0 <= s <= L, and omega has mass exactly L. The private slots are not
-    guarded: a triple whose ``_numerators`` were assigned after
-    construction can break the measure axioms while this report passes.
+    and numerators that do not sum to L, and a triple refuses every
+    attribute write after it, private slots included, so every event
+    mass is a sub-sum s of non-negative numerators with 0 <= s <= L, and
+    omega has mass exactly L.
 
     The report records these arguments: omega is in the field,
     ``complement_closure.checked`` is 2^|omega|, the events the argument

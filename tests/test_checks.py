@@ -135,3 +135,8 @@ def test_axioms_suite_builds_one_event_table(monkeypatch):
     out = checks.check_axioms(seed=7, trials=10)
     assert out.passed
     assert built == [16]
+
+
+def test_run_suites_refuses_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown suite 'nope'"):
+        checks.run_suites(["nope"])

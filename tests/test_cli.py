@@ -269,6 +269,15 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_check_unknown_suite_is_usage_error(capsys):
+    code, out, err = run(capsys, "check", "--suite", "nope")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith(
+        "hardysets check: error: argument --suite: invalid choice: 'nope'"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--seed", "-1"), "argument --seed: seed must be at least 0"),
     (("--seed", "x"), "argument --seed: invalid seed 'x'"),

@@ -27,6 +27,11 @@ import expansion_oracle as oracle
 
 
 STANDARD = AtomQuadruple("x1", "x2", "x3", "x4")
+ADJACENT = "violates the adjacent distinctness conditions"
+DIAGONAL = (
+    "a diagonal pair outside the four adjacent conditions, "
+    "still required for wing disjointness"
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +114,29 @@ def test_non_distinct_adjacent_pair():
     with pytest.raises(NonDistinctAtoms) as exc:
         build_model(AtomQuadruple("a", "a", "c", "d"), 3)
     assert exc.value.collisions == ((1, 2, "a"),)
-    assert "adjacent" in str(exc.value)
+    assert str(exc.value) == f"non-distinct atom quadruple: (x1,x2) share 'a' ({ADJACENT})"
 
 
 def test_non_distinct_diagonal_pair_named():
     with pytest.raises(NonDistinctAtoms) as exc:
         build_model(AtomQuadruple("x1", "x2", "x1", "x4"), 3)
     assert exc.value.collisions == ((1, 3, "x1"),)
-    assert "diagonal" in str(exc.value)
+    assert str(exc.value) == f"non-distinct atom quadruple: (x1,x3) share 'x1' ({DIAGONAL})"
+
+
+@pytest.mark.parametrize("labels, collisions, adjacent, message", [
+    ("abca", ((4, 1, "a"),), ((4, 1),), f"(x4,x1) share 'a' ({ADJACENT})"),
+    ("aaba", ((1, 2, "a"), (4, 1, "a"), (2, 4, "a")), ((1, 2), (4, 1)),
+     f"(x1,x2) share 'a' ({ADJACENT}); (x4,x1) share 'a' ({ADJACENT}); "
+     f"(x2,x4) share 'a' ({DIAGONAL})"),
+])
+def test_non_distinct_wraparound_pair(labels, collisions, adjacent, message):
+    # (x4,x1) is the adjacent pair whose indices run backwards.
+    with pytest.raises(NonDistinctAtoms) as exc:
+        build_model(AtomQuadruple(*labels), 3)
+    assert exc.value.collisions == collisions
+    assert str(exc.value) == "non-distinct atom quadruple: " + message
+    assert distinctness_diagnostic(tuple(labels), 3).adjacent_collisions == adjacent
 
 
 def test_depth_validation():

@@ -1,13 +1,16 @@
 """The two pipelines stay independent: checked on the import statements.
 
-The quantum amplitude oracle must not import the set engine, and the
-frozenset expansion oracle and the reference set-notation reader must
+The quantum amplitude oracle must not import the set engine, the set
+engine must not import the oracle or numpy, and the frozenset expansion
+oracle and the reference set-notation reader must
 not import the package at all; such an import would let a fault of one
 pipeline hide in the check by the other.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # Importing the package root would load the whole set engine too.
@@ -35,6 +38,13 @@ def test_imported_names_sees_every_import_form(tmp_path):
 def test_quantum_does_not_import_the_set_engine():
     for name in imported_names(ROOT / "src" / "hardysets" / "quantum.py"):
         assert not SET_ENGINE.intersection(name.lstrip(".").split(".")), name
+
+
+@pytest.mark.parametrize("module", ["hfset", "numerals", "probability", "hardy"])
+def test_set_engine_imports_neither_numpy_nor_the_oracle(module):
+    for name in imported_names(ROOT / "src" / "hardysets" / f"{module}.py"):
+        parts = name.lstrip(".").split(".")
+        assert parts[0] != "numpy" and "quantum" not in parts, name
 
 
 def test_expansion_oracle_imports_nothing_from_the_package():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -380,7 +381,9 @@ def test_verify_axioms_measures_no_event(monkeypatch, weighting, n):
         }
 
 
-@pytest.mark.parametrize("name", ["omega", "weights", "denominator", "full_mask"])
+@pytest.mark.parametrize(
+    "name", ["omega", "weights", "denominator", "full_mask", *ProbabilityTriple.__slots__]
+)
 def test_triple_has_no_setters(hardy_triple, name):
     # With the constructor's sign and sum checks, this is why verify_axioms
     # may state the measure axioms instead of testing them.
@@ -391,6 +394,38 @@ def test_triple_has_no_setters(hardy_triple, name):
         delattr(hardy_triple, name)
     assert not hasattr(hardy_triple, "__dict__")
     assert getattr(hardy_triple, name) == before
+
+
+def test_private_slots_cannot_corrupt_the_measure():
+    t = uniform_triple([atom("a"), atom("b")])
+    with pytest.raises(AttributeError):
+        t._numerators = (5, -3)
+    with pytest.raises(AttributeError):
+        t._uniform_numerator = -3
+    assert mass(Event(1), t) == 1
+    assert verify_axioms(t, 1, 0).passed
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+@pytest.mark.parametrize(
+    "weights",
+    [[Fraction(1, 10)] * 10, [Fraction(i, 55) for i in range(1, 11)]],
+    ids=["uniform", "non-uniform"],
+)
+def test_triple_round_trips(clone, weights):
+    # Ten elements, so a non-uniform triple has two subset-sum chunks.
+    t = ProbabilityTriple([von_neumann(i) for i in range(10)], weights)
+    u = clone(t)
+    assert u is not t
+    assert (u.omega, u.weights, u.denominator) == (t.omega, t.weights, t.denominator)
+    assert [mass(Event(m), u) for m in range(1 << 10)] == all_event_masses(t)
+    assert [u.index_of(e) for e in t.omega] == list(range(10))
+    with pytest.raises(AttributeError):
+        u._numerators = ()
 
 
 def test_all_event_probabilities_table(hardy_triple):

@@ -1,7 +1,7 @@
 """No module of the package imports a name that it does not use.
 
 A name counts as used when the module reads it anywhere or lists it in
-``__all__``, as ``hardysets/__init__.py`` does for the names it re-exports.
+``__all__``, as a module that re-exports names does.
 """
 
 import ast
