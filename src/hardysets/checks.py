@@ -385,16 +385,20 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     for i in range(len(sets) - 1):
         a, b = sets[i], sets[i + 1]
         extra = sets[(i * 7 + 3) % len(sets)]
+        # Each value is computed once and shared by the laws that use it;
+        # every law still compares two sides computed apart.
         u = unite(a, b)
+        cap = intersect(a, b)
+        universe = unite(u, extra)
         if report(u == unite(b, a), lambda: f"union not commutative: {a!r} {b!r}"):
             return out
-        if report(intersect(a, b) == intersect(b, a),
+        if report(cap == intersect(b, a),
                   lambda: f"intersection not commutative: {a!r} {b!r}"):
             return out
-        if report(unite(a, unite(b, extra)) == unite(unite(a, b), extra),
+        if report(unite(a, unite(b, extra)) == universe,
                   lambda: f"union not associative: {a!r} {b!r} {extra!r}"):
             return out
-        if report(intersect(a, intersect(b, extra)) == intersect(intersect(a, b), extra),
+        if report(intersect(a, intersect(b, extra)) == intersect(cap, extra),
                   lambda: f"intersection not associative: {a!r} {b!r} {extra!r}"):
             return out
         if report(unite(a, a) == a and intersect(a, a) == a, lambda: f"not idempotent: {a!r}"):
@@ -402,13 +406,12 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         if report(monadic_union(set_of([a, b])) == u,
                   lambda: f"munion({{A,B}}) != A∪B for {a!r}, {b!r}"):
             return out
-        universe = unite(u, extra)
         comp_a = _difference(universe, a)
         comp_b = _difference(universe, b)
         if report(_difference(universe, u) == intersect(comp_a, comp_b),
                   lambda: f"De Morgan (union) failed: {a!r} {b!r} in {universe!r}"):
             return out
-        if report(_difference(universe, intersect(a, b)) == unite(comp_a, comp_b),
+        if report(_difference(universe, cap) == unite(comp_a, comp_b),
                   lambda: f"De Morgan (intersection) failed: {a!r} {b!r} in {universe!r}"):
             return out
 

@@ -5,12 +5,13 @@ the C wing unions the von Neumann numerals of x1, x2 with the Zermelo
 numerals of x3, x4 at a given depth, and the D wing mirrors the roles
 (von Neumann for x4, x3; Zermelo for x2, x1). The sample space is the
 set of members of the union of both wings, carrying the uniform measure.
-Each of the eight numeral towers is built once, and each wing is one
-canonicalisation of the members of its four towers, with no
-intermediate union nodes. Each wing has 2k+2 members at depth k, so
-|omega| = 4k+4 - |C ∩ D|; the wings are disjoint only from depth 3 up,
-and share the four atoms at depth 1 and the four level-1 numerals
-{x1}, ..., {x4} at depth 2.
+Only x1's two towers are built whole, since the model keeps them as
+the hidden sets; of the other six, only the levels that are wing
+members are built. Each wing is one canonicalisation of the members of
+its four towers, with no intermediate union nodes. Each wing has 2k+2
+members at depth k, so |omega| = 4k+4 - |C ∩ D|; the wings are
+disjoint only from depth 3 up, and share the four atoms at depth 1 and
+the four level-1 numerals {x1}, ..., {x4} at depth 2.
 
 Annihilation is modeled by the monadic-union operator applied to the
 hidden per-particle sets (the depth-level numerals of x1 in each wing);
@@ -143,13 +144,29 @@ def _collisions(labels: Sequence[str]) -> list[tuple[int, int, str]]:
     return found
 
 
+def _von_neumann_members(depth: int, a: HfSet) -> tuple[HfSet, ...]:
+    """Levels 0..depth-1 of the von Neumann numerals of atom ``a``.
+
+    They are the members of vn(depth, a), which is not built.
+    """
+    top = von_neumann(depth - 1, a)
+    return (top,) if depth == 1 else top.children + (top,)
+
+
 def _wings(labels: Sequence[str], depth: int) -> tuple[HfSet, HfSet, HfSet, HfSet]:
-    """The C and D wings, then vn(depth, x1) and zm(depth, x1), the hidden sets."""
-    atoms = [atom(label) for label in labels]
-    vn1, vn2, vn3, vn4 = (von_neumann(depth, a) for a in atoms)
-    zm1, zm2, zm3, zm4 = (zermelo(depth, a) for a in atoms)
-    c_set = set_of(vn1.children + vn2.children + zm3.children + zm4.children)
-    d_set = set_of(vn4.children + vn3.children + zm2.children + zm1.children)
+    """The C and D wings, then vn(depth, x1) and zm(depth, x1), the hidden sets.
+
+    Only x1's two towers are built whole, first, because the model holds
+    them. Of the other six towers the wings need only the members: levels
+    0..depth-1 of a von Neumann tower, level depth-1 of a Zermelo tower.
+    """
+    a1, a2, a3, a4 = (atom(label) for label in labels)
+    vn1, zm1 = von_neumann(depth, a1), zermelo(depth, a1)
+    # The members of vn(depth) and of zm(depth) over x2, x3 and x4.
+    vn2, vn3, vn4 = (_von_neumann_members(depth, a) for a in (a2, a3, a4))
+    zm2, zm3, zm4 = ((zermelo(depth - 1, a),) for a in (a2, a3, a4))
+    c_set = set_of(vn1.children + vn2 + zm3 + zm4)
+    d_set = set_of(vn4 + vn3 + zm2 + zm1.children)
     return c_set, d_set, vn1, zm1
 
 

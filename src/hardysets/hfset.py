@@ -80,8 +80,8 @@ __all__ = [
 MAX_PRINT_CHARS = 1 << 26
 
 # Keys of nodes of at least this rank compare by a loop (_DeepKey). Below
-# it, C compares the nested key tuples, about two levels of its recursion
-# limit per rank.
+# it, C compares the nested key tuples, one level of its recursion limit
+# per rank.
 _DEEP_RANK = 100
 
 _ATOM_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -138,17 +138,17 @@ class _DeepKey(tuple):
 def _compare_keys(x: tuple, y: tuple) -> int:
     """-1, 0 or 1 as key ``x`` sorts before, with or after key ``y``.
 
-    Keys are ``(0, label)`` or ``(1, cardinality, member keys)``. Two
-    sets of equal cardinality are ordered by their first differing
-    members; since members are interned, that is the first pair that are
-    not the same object, and the loop descends into it.
+    Keys are ``(0, label)`` or the flat ``(1, cardinality, *member keys)``.
+    Two sets of equal cardinality are ordered by their first differing
+    members; since members are interned, that is the first pair of keys
+    that are not the same object, and the loop descends into it.
     """
     while x is not y:
         if type(x) is tuple and type(y) is tuple:
             return -1 if x < y else 1
         if x[:2] != y[:2]:
             return -1 if x[:2] < y[:2] else 1
-        x, y = next((a, b) for a, b in zip(x[2], y[2]) if a is not b)
+        x, y = next((a, b) for a, b in zip(x[2:], y[2:]) if a is not b)
     return 0
 
 
@@ -179,15 +179,23 @@ class HfSet:
                     f"invalid atom label {label!r}: need a letter followed by "
                     "letters, digits or underscores"
                 )
-            self._key: tuple = (0, label)
-            self._rank = 0
+            key: tuple = (0, label)
+            rank = 0
             chars = len(label)  # type: ignore[arg-type]
         else:
-            self._rank = 1 + max(map(_rank_of, children)) if children else 0
-            key = (1, len(children), tuple(map(_key_of, children)))
-            self._key = _DeepKey(key) if self._rank >= _DEEP_RANK else key
-            # braces, commas, members
-            chars = 2 + max(len(children) - 1, 0) + sum(map(_chars_of, children))
+            # One pass over the members gives the flat key (1, n, *member
+            # keys), the rank and the printed length: braces, n - 1 commas
+            # and the members.
+            n = len(children)
+            keys = [1, n]
+            rank = 0
+            chars = n + 1 if n else 2
+            for c in children:
+                keys.append(c._key)
+                chars += c._chars
+                if c._rank >= rank:
+                    rank = c._rank + 1
+            key = _DeepKey(keys) if rank >= _DEEP_RANK else tuple(keys)
         if chars > MAX_PRINT_CHARS:
             raise ValueTooLarge(
                 f"value too large: it would print {chars} characters, "
@@ -195,6 +203,8 @@ class HfSet:
             )
         self._label = label
         self._children = children
+        self._key = key
+        self._rank = rank
         self._chars = chars
 
     @property
@@ -232,8 +242,6 @@ class HfSet:
 
 
 _key_of = attrgetter("_key")
-_rank_of = attrgetter("_rank")
-_chars_of = attrgetter("_chars")
 
 
 class _Ref(weakref.ref):
@@ -300,7 +308,11 @@ _EMPTY = _intern_set(())
 
 
 def canonical_key(s: HfSet) -> tuple:
-    """Sort key realizing the canonical total order on values."""
+    """Sort key realizing the canonical total order on values.
+
+    ``(0, label)`` for an atom; the flat ``(1, cardinality, *member keys)``
+    for a set node, its members' keys in canonical order.
+    """
     return s._key
 
 

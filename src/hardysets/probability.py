@@ -20,6 +20,10 @@ exact rationals. No floating point is used anywhere in this module.
 
 When the measure is uniform (all numerators equal), :func:`mass` is the
 event's popcount times that numerator, and the triple builds no table.
+:func:`uniform_triple` writes numerator 1 over denominator n for each of
+its n elements directly, with no Fraction per element; its elements are
+checked and ordered by the same code as those of the general
+constructor.
 Only non-uniform weights get subset-sum tables, one per eight elements,
 which :func:`mass` reads a byte of the event mask at a time.
 
@@ -36,7 +40,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import itemgetter, lt
+from itertools import pairwise
+from operator import lt
 from typing import Iterable, Sequence
 
 from .hfset import HfSet, AtomOperand, canonical_key, print_set
@@ -148,22 +153,34 @@ class ProbabilityTriple:
     )
 
     def __init__(self, elements: Iterable[HfSet], weights: Iterable[Fraction | int]) -> None:
-        elems = tuple(elements)
-        raw_weights = tuple(weights)
+        self._init(tuple(elements), tuple(weights))
+
+    def _init(self, elems: tuple, weights: tuple | None) -> None:
+        """Check, order and measure ``elems``: the tail of both constructors.
+
+        ``weights`` holds one exact weight per element, or is None for the
+        uniform measure of :func:`uniform_triple`. That measure is 1/n on
+        each of the n elements, numerator 1 over denominator n, so it
+        needs no per-weight Fraction and no sign or sum check.
+        """
         if not elems:
             raise EmptySampleSpace("sample space must be non-empty")
-        if len(raw_weights) != len(elems):
+        if weights is not None and len(weights) != len(elems):
             raise ValueError("exactly one weight per element is required")
         for e in elems:
             if not isinstance(e, HfSet):
                 raise TypeError(
                     f"sample-space elements must be HfSet values, got {type(e).__name__}"
                 )
-        exact: list[Fraction] = []
-        for w in raw_weights:
-            if isinstance(w, float):
-                raise TypeError("weights must be exact rationals, not floats")
-            exact.append(w if type(w) is Fraction else Fraction(w))
+        n = len(elems)
+        if weights is None:
+            exact: Sequence[Fraction] = (Fraction(1, n),) * n
+        else:
+            exact = []
+            for w in weights:
+                if isinstance(w, float):
+                    raise TypeError("weights must be exact rationals, not floats")
+                exact.append(w if type(w) is Fraction else Fraction(w))
         keys = list(map(canonical_key, elems))
         if all(map(lt, keys, keys[1:])):
             # Strictly ascending keys: already canonical, and pairwise
@@ -171,35 +188,34 @@ class ProbabilityTriple:
             omega = elems
             ordered = tuple(exact)
         else:
-            pairs = sorted(zip(keys, elems, exact), key=itemgetter(0))
-            dups = [
-                print_set(pairs[i][1])
-                for i in range(1, len(pairs))
-                if pairs[i][1] == pairs[i - 1][1]
-            ]
+            order = sorted(range(n), key=keys.__getitem__)
+            omega = tuple(map(elems.__getitem__, order))
+            dups = {print_set(b) for a, b in pairwise(omega) if a is b}
             if dups:
-                raise DuplicateElement(sorted(set(dups)))
-            omega = tuple(e for _, e, _ in pairs)
-            ordered = tuple(w for _, _, w in pairs)
-        denominator = math.lcm(*{w.denominator for w in ordered})
-        numerators = tuple(w.numerator * (denominator // w.denominator) for w in ordered)
-        # A Fraction's denominator is positive, so its sign is its numerator's.
-        if min(numerators) < 0:
-            raise ValueError("weights must be non-negative")
-        total = sum(numerators)
-        if total != denominator:
-            raise ValueError(
-                f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
-            )
+                raise DuplicateElement(sorted(dups))
+            ordered = tuple(map(exact.__getitem__, order))
+        if weights is None:
+            denominator, numerators = n, (1,) * n
+        else:
+            denominator = math.lcm(*{w.denominator for w in ordered})
+            numerators = tuple(w.numerator * (denominator // w.denominator) for w in ordered)
+            # A Fraction's denominator is positive, so its sign is its numerator's.
+            if min(numerators) < 0:
+                raise ValueError("weights must be non-negative")
+            total = sum(numerators)
+            if total != denominator:
+                raise ValueError(
+                    f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
+                )
         # A uniform measure needs no subset-sum table: see mass().
         first = numerators[0]
-        if numerators.count(first) == len(numerators):
+        if numerators.count(first) == n:
             uniform_numerator, chunk_masses = first, ()
         else:
             uniform_numerator = None
             chunk_masses = tuple(
                 _subset_sums(numerators[i : i + _CHUNK_BITS])
-                for i in range(0, len(numerators), _CHUNK_BITS)
+                for i in range(0, n, _CHUNK_BITS)
             )
         # The only writes: __setattr__ refuses every later one.
         init = partial(object.__setattr__, self)
@@ -251,12 +267,14 @@ class ProbabilityTriple:
 
 
 def uniform_triple(elements: Iterable[HfSet]) -> ProbabilityTriple:
-    """Uniform measure: every element gets weight 1/|omega| exactly."""
-    elems = tuple(elements)
-    if not elems:
-        raise EmptySampleSpace("sample space must be non-empty")
-    n = len(elems)
-    return ProbabilityTriple(elems, [Fraction(1, n)] * n)
+    """Uniform measure: every element gets weight 1/|omega| exactly.
+
+    The same triple as ``ProbabilityTriple(elements, [Fraction(1, n)] * n)``,
+    with the same errors, made without a Fraction per element.
+    """
+    t = ProbabilityTriple.__new__(ProbabilityTriple)
+    t._init(tuple(elements), None)
+    return t
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,21 @@ import random
 
 import pytest
 
-from hardysets import AtomQuadruple, atom, build_model, checks, empty, print_set, probability, set_of
+from hardysets import (
+    AtomQuadruple,
+    atom,
+    build_model,
+    checks,
+    empty,
+    hardy,
+    intersect,
+    print_set,
+    probability,
+    set_of,
+    unite,
+    von_neumann,
+    zermelo,
+)
 
 
 def algebra_sets(seed):
@@ -58,6 +72,74 @@ def test_algebra_failure_prints_operands(monkeypatch, name, broken, first_failur
     assert not out.passed
     assert len(failed) == 5
     assert failed[0] == "FAIL " + first_failure.format(print_set(sets[0]), print_set(sets[1]))
+
+
+def union_dropping_a_greatest_member(x, y):
+    """Commutative, and the union when neither operand has more than five
+    members, as no drawn set has; past that it drops the greatest member.
+    So it is not associative."""
+    u = unite(x, y)
+    if max(len(x.children), len(y.children)) <= 5:
+        return u
+    return set_of(u.children[:-1])
+
+
+def intersection_or_smaller_operand(x, y):
+    """Commutative and idempotent, but not associative: the smaller operand
+    when the sizes differ by exactly one, else the intersection."""
+    if abs(len(x.children) - len(y.children)) == 1:
+        return min(x, y, key=lambda s: len(s.children))
+    return intersect(x, y)
+
+
+@pytest.mark.parametrize(
+    "name, broken, law",
+    [
+        ("unite", union_dropping_a_greatest_member, "union not associative"),
+        ("intersect", intersection_or_smaller_operand, "intersection not associative"),
+    ],
+    ids=["unite", "intersect"],
+)
+def test_algebra_associativity_can_fail(monkeypatch, name, broken, law):
+    # The suite computes A∪B, A∩B and (A∪B)∪X once per pair and shares
+    # them between laws; a commutative operation that is not associative
+    # must still fail the associativity law.
+    monkeypatch.setattr(checks, name, broken)
+    out = checks.check_algebra(seed=42, trials=1000)
+    failed = [line for line in out.lines if line.startswith("FAIL ")]
+    assert not out.passed
+    assert not any("commutative" in line for line in failed)
+    assert failed[0].startswith(f"FAIL {law}: ")
+
+
+def wings_from_whole_towers(swap):
+    """``hardy._wings`` as the construction states it, from all eight towers
+    built whole; with ``swap``, the D wing takes x2's von Neumann tower in
+    place of its Zermelo tower."""
+
+    def wings(labels, depth):
+        a1, a2, a3, a4 = (atom(label) for label in labels)
+        vn1, vn2, vn3, vn4 = (von_neumann(depth, a) for a in (a1, a2, a3, a4))
+        zm1, zm2, zm3, zm4 = (zermelo(depth, a) for a in (a1, a2, a3, a4))
+        c_set = set_of(vn1.children + vn2.children + zm3.children + zm4.children)
+        d_x2 = vn2 if swap else zm2
+        d_set = set_of(vn4.children + vn3.children + d_x2.children + zm1.children)
+        return c_set, d_set, vn1, zm1
+
+    return wings
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["whole-towers", "swapped-tower"])
+def test_quadruples_fails_on_a_swapped_tower(monkeypatch, swap):
+    monkeypatch.setattr(hardy, "_wings", wings_from_whole_towers(swap))
+    out = checks.check_quadruples(seed=42, trials=20)
+    failed = [line for line in out.lines if line.startswith("FAIL ")]
+    if not swap:
+        assert out.passed and not failed
+    else:
+        assert not out.passed
+        assert len(failed) == 5
+        assert all(line.startswith(f"FAIL trial {i}: labels ") for i, line in enumerate(failed))
 
 
 BOUND_FAIL = "FAIL 0 <= P(X) <= 1 for all events"

@@ -149,6 +149,15 @@ REFUSED = {
     "reproduce-depth-23": (
         ("reproduce", "--depth", "23"),
         "value too large: it would print 83886261 characters, more than the limit of 67108864"),
+    # vn(23) over a 20-letter x2 or x3 would print 23 * 2^22 - 1 characters,
+    # but only x1's towers are built whole. The wing that holds its 23
+    # members (48 members in all) is the value refused.
+    "reproduce-long-x2-depth-23": (
+        ("reproduce", "--atoms", "a," + "b" * 20 + ",c,d", "--depth", "23"),
+        "value too large: it would print 113246297 characters, more than the limit of 67108864"),
+    "reproduce-long-x3-depth-23": (
+        ("reproduce", "--atoms", "a,b," + "c" * 20 + ",d", "--depth", "23"),
+        "value too large: it would print 113246297 characters, more than the limit of 67108864"),
     # vn(25,x1) prints 5 * 2^24 - 1 characters
     "reproduce-depth-25": (
         ("reproduce", "--depth", "25"),

@@ -248,10 +248,12 @@ def test_quadruples_suite_computes_the_residues_once_per_trial(annihilate_calls,
 
 
 def test_fresh_model_creates_one_node_per_value(construct_calls):
-    # Per atom: the atom, vn levels 1-3 and zm levels 2-3 (zm(1) is vn(1));
-    # then the two wings and the sample space.
+    # For x1, whose towers the model holds: the atom, vn levels 1-3 and zm
+    # levels 2-3 (zm(1) is vn(1)). For x2, x3 and x4, only wing members: the
+    # atom, vn levels 1-2 and zm level 2. Then the two wings and the sample
+    # space.
     model = build_model(AtomQuadruple("fresh_n1", "fresh_n2", "fresh_n3", "fresh_n4"), 3)
-    assert len(construct_calls) == 4 * 6 + 3
+    assert len(construct_calls) == 6 + 3 * 4 + 3
     assert model.triple.size == 16
 
 

@@ -240,6 +240,19 @@ def test_canonical_key_order_matches_reference(values):
     assert sorted(values, key=canonical_key) == sorted(values, key=reference_key)
 
 
+def flat_reference_key(s):
+    """The documented key: ``(0, label)``, or ``(1, n, *member keys)``
+    with the member keys in canonical order."""
+    if s.is_atom:
+        return (0, s.label)
+    return (1, len(s.children), *sorted(flat_reference_key(c) for c in s.children))
+
+
+@given(hf_values)
+def test_canonical_key_is_flat(s):
+    assert canonical_key(s) == flat_reference_key(s)
+
+
 def test_canonical_key_order_across_the_deep_key_rank():
     # Ranks on both sides of the rank where keys start to compare by a loop.
     a, b = atom("a"), atom("b")
@@ -248,6 +261,7 @@ def test_canonical_key_order_across_the_deep_key_rank():
         values += [zermelo(n, a), zermelo(n, b), set_of([zermelo(n, a), zermelo(n - 1, b)])]
         values.append(set_of([a, zermelo(n, b)]))
     values.reverse()
+    assert all(canonical_key(v) == flat_reference_key(v) for v in values)
     assert sorted(values, key=canonical_key) == sorted(values, key=reference_key)
     assert [print_set(v) for v in sorted(values)] == [
         print_set(v) for v in sorted(values, key=reference_key)
@@ -257,6 +271,12 @@ def test_canonical_key_order_across_the_deep_key_rank():
 @given(hf_values)
 def test_cached_rank_matches_reference(s):
     assert rank(s) == reference_rank(s)
+
+
+@given(hf_values)
+def test_cached_printed_length_matches_the_text(s):
+    # The length MAX_PRINT_CHARS is checked against, cached at construction.
+    assert s._chars == len(print_set(s))
 
 
 def test_numeral_creates_one_node_per_level(construct_calls):

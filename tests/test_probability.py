@@ -155,6 +155,47 @@ def test_duplicates_in_canonical_input_rejected(repeats):
     assert str(exc.value) == "duplicate sample-space elements: " + ", ".join(expected)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_uniform_triple_equals_the_general_constructor(n):
+    # Shuffled, so both constructors take their sorting path too.
+    elements = list(canonical_elements(n))
+    random.Random(n).shuffle(elements)
+    uniform = uniform_triple(elements)
+    general = ProbabilityTriple(elements, [Fraction(1, n)] * n)
+    assert uniform.omega == general.omega == canonical_elements(n)
+    assert uniform.weights == general.weights == (Fraction(1, n),) * n
+    assert all(type(w) is Fraction for w in uniform.weights)
+    assert uniform.denominator == general.denominator == n
+    assert [uniform.index_of(e) for e in elements] == [general.index_of(e) for e in elements]
+    assert uniform.index_of(atom("absent")) is general.index_of(atom("absent")) is None
+    for m in range(1 << n):
+        assert mass(Event(m), uniform) == mass(Event(m), general)
+
+
+@pytest.mark.parametrize(
+    "elements, error, message",
+    [
+        ([], EmptySampleSpace, "sample space must be non-empty"),
+        ([empty(), atom("a"), empty()], DuplicateElement, "duplicate sample-space elements: {}"),
+        (
+            [atom("b"), empty(), atom("a"), empty(), atom("b")],
+            DuplicateElement,
+            "duplicate sample-space elements: b, {}",
+        ),
+        ([atom("a"), "{}"], TypeError, "sample-space elements must be HfSet values, got str"),
+        (["{}", empty(), empty()], TypeError, "sample-space elements must be HfSet values, got str"),
+    ],
+    ids=["empty", "duplicated", "unsorted-duplicated", "non-hfset", "non-hfset-before-duplicate"],
+)
+def test_uniform_triple_raises_as_the_general_constructor(elements, error, message):
+    n = len(elements)
+    with pytest.raises(error) as from_uniform:
+        uniform_triple(elements)
+    with pytest.raises(error) as from_general:
+        ProbabilityTriple(elements, [Fraction(1, max(n, 1))] * n)
+    assert str(from_uniform.value) == str(from_general.value) == message
+
+
 def test_event_value_semantics():
     a = Event(5)
     assert a == Event(5) and a is not Event(5) and not a != Event(5)
