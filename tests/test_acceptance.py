@@ -136,8 +136,8 @@ def test_criterion_4_sigma_field_axioms():
             break
     elapsed = time.perf_counter() - start
     ok = (
-        axioms.passed
-        and axioms.complement_closure.checked == 65536
+        axioms.to_dict()["passed"] is True
+        and axioms.events == 65536
         and bounds_ok
         and mass_ok
         and additivity_ok

@@ -219,6 +219,15 @@ def test_axioms_suite_builds_one_event_table(monkeypatch):
     assert built == [16]
 
 
+def test_axioms_suite_reads_its_counts_from_the_report(monkeypatch):
+    # The suite's argument lines print what the report holds, not constants.
+    report = probability.AxiomReport(7, 3, 0)
+    monkeypatch.setattr(checks, "verify_axioms", lambda t, samples, seed: report)
+    out = checks.check_axioms(seed=42, trials=10)
+    assert "ok   complement closure over 7 events" in out.lines
+    assert "ok   union closure on 3 sampled pairs" in out.lines
+
+
 def test_run_suites_refuses_an_unknown_name():
     with pytest.raises(KeyError, match="unknown suite 'nope'"):
         checks.run_suites(["nope"])
