@@ -7,87 +7,87 @@ annihilation model whose joint double-detection probability is exactly
 the same number.
 
 The package imports none of its modules itself. A public name is
-loaded on first use from the one module whose own ``__all__`` lists it,
-so the set engine (``hfset``, ``numerals``, ``probability`` and
-``hardy``) imports without numpy; the quantum oracle's names load it.
+loaded on first use from its one owner module, and only that module is
+imported, so the set engine (``hfset``, ``numerals``, ``probability``
+and ``hardy``) imports without numpy and an oracle name loads only
+``quantum``.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Searched in this order for a public name. The quantum oracle, the one
-# module that loads numpy, comes last, so no set-engine name loads it.
-_MODULES = ("hfset", "numerals", "probability", "hardy", "quantum")
+# Each owner module and the public names the package reads from it.
+_PUBLIC = {
+    "hfset": (
+        "AtomOperand",
+        "HfSet",
+        "ParseError",
+        "ValueTooLarge",
+        "atom",
+        "cardinality",
+        "empty",
+        "equals",
+        "intersect",
+        "member",
+        "monadic_union",
+        "parse_set",
+        "parse_set_prefix",
+        "print_set",
+        "rank",
+        "set_of",
+        "unite",
+    ),
+    "numerals": ("numeral", "von_neumann", "zermelo"),
+    "probability": (
+        "AxiomReport",
+        "DuplicateElement",
+        "EmptySampleSpace",
+        "IndexOutOfRange",
+        "NotAnEvent",
+        "ProbabilityTriple",
+        "SampleSpaceTooLarge",
+        "event_from_set",
+        "prob",
+        "uniform_triple",
+        "verify_axioms",
+    ),
+    "hardy": (
+        "AtomQuadruple",
+        "DistinctnessReport",
+        "HardyModel",
+        "HardyResult",
+        "NonDistinctAtoms",
+        "annihilate",
+        "build_model",
+        "distinctness_diagnostic",
+        "field_membership_report",
+        "hardy_probability",
+        "intersection_identity_check",
+    ),
+    "quantum": (
+        "BeamSplitterConvention",
+        "DEFAULT_CONVENTION",
+        "GAMMA",
+        "NonUnitaryConvention",
+        "OutcomeDistribution",
+        "QuantumState",
+        "apply_annihilation",
+        "apply_beam_splitter",
+        "run_double_mzi",
+    ),
+}
+_OWNER = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [
-    "AtomOperand",
-    "AtomQuadruple",
-    "AxiomReport",
-    "BeamSplitterConvention",
-    "DEFAULT_CONVENTION",
-    "DistinctnessReport",
-    "DuplicateElement",
-    "EmptySampleSpace",
-    "Event",
-    "GAMMA",
-    "HardyModel",
-    "HardyResult",
-    "HfSet",
-    "IndexOutOfRange",
-    "NonDistinctAtoms",
-    "NonUnitaryConvention",
-    "NotAnEvent",
-    "OutcomeDistribution",
-    "ParseError",
-    "ProbabilityTriple",
-    "QuantumState",
-    "SampleSpaceTooLarge",
-    "ValueTooLarge",
-    "annihilate",
-    "apply_annihilation",
-    "apply_beam_splitter",
-    "atom",
-    "build_model",
-    "cardinality",
-    "complement",
-    "distinctness_diagnostic",
-    "empty",
-    "equals",
-    "event_from_set",
-    "field_membership_report",
-    "field_size_log2",
-    "full_event",
-    "hardy_probability",
-    "intersect",
-    "intersect_events",
-    "intersection_identity_check",
-    "member",
-    "monadic_union",
-    "numeral",
-    "parse_set",
-    "parse_set_prefix",
-    "print_set",
-    "prob",
-    "rank",
-    "run_double_mzi",
-    "set_of",
-    "uniform_triple",
-    "union_events",
-    "unite",
-    "verify_axioms",
-    "von_neumann",
-    "zermelo",
-]
+__all__ = sorted(_OWNER)
 
 
 def __getattr__(name: str):
     """One of the five modules, or a public name from its owner module; cached once read."""
-    if name in _MODULES:
+    if name in _PUBLIC:
         value = import_module(f"{__name__}.{name}")
-    elif name in __all__:
-        modules = (import_module(f"{__name__}.{m}") for m in _MODULES)
-        value = getattr(next(m for m in modules if name in m.__all__), name)
+    elif name in _OWNER:
+        value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
@@ -95,4 +95,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_MODULES})
+    return sorted({*globals(), *__all__, *_PUBLIC})

@@ -27,7 +27,7 @@ from .hfset import (
     unite,
 )
 from .numerals import numeral
-from .probability import SampleSpaceTooLarge, field_size_log2, verify_axioms
+from .probability import SampleSpaceTooLarge, verify_axioms
 from .hardy import (
     AtomQuadruple,
     build_model,
@@ -35,14 +35,13 @@ from .hardy import (
     hardy_probability,
     intersection_identity_check,
 )
-from .quantum import run_double_mzi
+from .quantum import P_DD, TOLERANCE, run_double_mzi
 from .checks import SUITES, run_suites
 
 __all__ = ["main"]
 
 _AXIOM_UNION_SAMPLES = 10000
 _AXIOM_SEED = 42
-_QUANTUM_TOL = 1e-12
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"[0-9]+")
@@ -208,11 +207,11 @@ def build_reproduction_report(labels, depth: int) -> dict:
     identity = intersection_identity_check(model, result)
     dist = run_double_mzi()
     p_dd = dist.p("d", "d")
-    agreement = result.probability == Fraction(1, 16) and abs(p_dd - 0.0625) <= _QUANTUM_TOL
+    agreement = result.probability == P_DD and abs(p_dd - 0.0625) <= TOLERANCE
 
     checks: dict[str, bool] = {}
     checks["probability_consistent"] = result.probability == Fraction(
-        result.joint_event.count, result.omega_size
+        result.joint_event.bit_count(), result.omega_size
     )
     if axiom_dict is not None:
         checks["axioms"] = True
@@ -228,7 +227,7 @@ def build_reproduction_report(labels, depth: int) -> dict:
         "atoms": list(labels),
         "depth": depth,
         "omega_size": result.omega_size,
-        "field_size_log2": field_size_log2(model.triple),
+        "field_size_log2": model.triple.size,
         "c_d_disjoint": c_d_disjoint,
         "axiom_report": axiom_dict,
         "axiom_note": axiom_note,

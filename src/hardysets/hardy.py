@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 from .hfset import HfSet, atom, intersect, monadic_union, set_of, unite
 from .numerals import von_neumann, zermelo
 from .probability import (
-    Event,
     NotAnEvent,
     ProbabilityTriple,
     event_from_set,
@@ -106,10 +105,16 @@ class HardyModel:
 
 @dataclass(frozen=True)
 class HardyResult:
+    """The residues, their intersection and its exact probability.
+
+    ``joint_event`` is the intersection as a bitmask over the model's
+    sample space, so its popcount is the number of joint outcomes.
+    """
+
     annihilated_a: HfSet
     annihilated_b: HfSet
     joint_set: HfSet
-    joint_event: Event
+    joint_event: int
     probability: Fraction
     omega_size: int
 

@@ -18,20 +18,21 @@ integers (:func:`mass`, :func:`all_event_masses`, ``0 <= s <= L``);
 ``weights``, :func:`prob` and :func:`all_event_probabilities` return
 exact rationals. No floating point is used anywhere in this module.
 
+An event is a plain ``int`` bitmask, so the intersection of ``a`` and
+``b`` is ``a & b``. :func:`mass` and :func:`prob` raise
+:class:`IndexOutOfRange` for a negative mask or one with a bit at or
+past |omega|.
+
 When the measure is uniform (all numerators equal), :func:`mass` is the
-event's popcount times that numerator, and the triple builds no table.
-:func:`uniform_triple` writes numerator 1 over denominator n for each of
-its n elements directly, with no Fraction per element; its elements are
-checked and ordered by the same code as those of the general
-constructor.
-Only non-uniform weights get subset-sum tables, one per eight elements,
-which :func:`mass` reads a byte of the event mask at a time.
+event's popcount times that numerator; otherwise it sums the numerators
+at the mask's set bits. :func:`uniform_triple` writes numerator 1 over
+denominator n for each of its n elements directly, with no Fraction per
+element; its elements are checked and ordered by the same code as those
+of the general constructor.
 
 Elements given in strictly ascending canonical order, as the members of
 a set node are, are taken as they stand: they are sorted and pairwise
 distinct already. Any other order is sorted and checked for duplicates.
-An :class:`Event` is a slotted frozen dataclass, so the tens of
-thousands an axiom check makes cost little more than their masks.
 """
 
 from __future__ import annotations
@@ -50,22 +51,16 @@ __all__ = [
     "AxiomReport",
     "DuplicateElement",
     "EmptySampleSpace",
-    "Event",
     "IndexOutOfRange",
     "NotAnEvent",
     "ProbabilityTriple",
     "SampleSpaceTooLarge",
     "all_event_masses",
     "all_event_probabilities",
-    "complement",
     "event_from_set",
-    "field_size_log2",
-    "full_event",
-    "intersect_events",
     "mass",
     "prob",
     "uniform_triple",
-    "union_events",
     "verify_axioms",
 ]
 
@@ -77,9 +72,6 @@ __all__ = [
 _MAX_EXHAUSTIVE_OMEGA = 24
 # Bound for enumerating every event probability (2^n exact sums).
 _MAX_EXHAUSTIVE_MEASURE = 16
-# mass() looks events up this many elements at a time.
-_CHUNK_BITS = 8
-_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 def _subset_sums(numerators: Sequence[int]) -> list[int]:
@@ -120,7 +112,7 @@ class NotAnEvent(ValueError):
 
 
 class IndexOutOfRange(ValueError):
-    """An event refers to indices beyond the sample space."""
+    """An event mask is negative or has a bit at or past |omega|."""
 
 
 class SampleSpaceTooLarge(ValueError):
@@ -146,7 +138,6 @@ class ProbabilityTriple:
         "_numerators",
         "_denominator",
         "_uniform_numerator",
-        "_chunk_masses",
         "_index",
     )
 
@@ -205,16 +196,9 @@ class ProbabilityTriple:
                 raise ValueError(
                     f"weights must sum to exactly 1, got {Fraction(total, denominator)}"
                 )
-        # A uniform measure needs no subset-sum table: see mass().
+        # A uniform measure is popcount times its numerator: see mass().
         first = numerators[0]
-        if numerators.count(first) == n:
-            uniform_numerator, chunk_masses = first, ()
-        else:
-            uniform_numerator = None
-            chunk_masses = tuple(
-                _subset_sums(numerators[i : i + _CHUNK_BITS])
-                for i in range(0, n, _CHUNK_BITS)
-            )
+        uniform_numerator = first if numerators.count(first) == n else None
         # The only writes: __setattr__ refuses every later one.
         init = partial(object.__setattr__, self)
         init("_omega", omega)
@@ -222,7 +206,6 @@ class ProbabilityTriple:
         init("_numerators", numerators)
         init("_denominator", denominator)
         init("_uniform_numerator", uniform_numerator)
-        init("_chunk_masses", chunk_masses)
         init("_index", {e: i for i, e in enumerate(omega)})
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -275,51 +258,8 @@ def uniform_triple(elements: Iterable[HfSet]) -> ProbabilityTriple:
     return t
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A subset of the sample space as a bitmask over canonical indices.
-
-    Slotted, with no ``__dict__``, because the axiom checks make tens of
-    thousands of short-lived events.
-    """
-
-    mask: int
-
-    def __post_init__(self) -> None:
-        if self.mask < 0:
-            raise ValueError("event mask must be non-negative")
-
-    @classmethod
-    def from_indices(cls, indices: Iterable[int]) -> "Event":
-        m = 0
-        for i in indices:
-            if i < 0:
-                raise IndexOutOfRange(f"negative event index {i}")
-            m |= 1 << i
-        return cls(m)
-
-    @property
-    def count(self) -> int:
-        return self.mask.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-
-
-def _check_event(e: Event, t: ProbabilityTriple) -> None:
-    if e.mask >> t.size:
-        raise IndexOutOfRange(
-            f"event mask {e.mask:#x} exceeds the {t.size}-element sample space"
-        )
-
-
-def full_event(t: ProbabilityTriple) -> Event:
-    """The whole sample space as an event."""
-    return Event(t.full_mask)
-
-
-def event_from_set(s: HfSet, t: ProbabilityTriple) -> Event:
-    """Map a set value to the event containing exactly its members.
+def event_from_set(s: HfSet, t: ProbabilityTriple) -> int:
+    """Map a set value to the bitmask of exactly its members.
 
     Every member of ``s`` must be an element of the sample space;
     otherwise :class:`NotAnEvent` reports the missing members. Applying
@@ -338,44 +278,24 @@ def event_from_set(s: HfSet, t: ProbabilityTriple) -> Event:
             mask |= 1 << i
     if missing:
         raise NotAnEvent(missing)
-    return Event(mask)
+    return mask
 
 
-def mass(e: Event, t: ProbabilityTriple) -> int:
+def mass(mask: int, t: ProbabilityTriple) -> int:
     """Integer mass of an event: the sum of its weight numerators over ``t.denominator``."""
-    mask = e.mask
+    # Non-zero for a negative mask as well as for one too wide.
     if mask >> len(t._omega):
-        _check_event(e, t)
+        raise IndexOutOfRange(
+            f"event mask {mask:#x} is outside the {len(t._omega)}-element sample space"
+        )
     if t._uniform_numerator is not None:
         return mask.bit_count() * t._uniform_numerator
-    total = 0
-    for sums in t._chunk_masses:
-        total += sums[mask & _CHUNK_MASK]
-        mask >>= _CHUNK_BITS
-    return total
+    return sum(w for i, w in enumerate(t._numerators) if mask >> i & 1)
 
 
-def prob(e: Event, t: ProbabilityTriple) -> Fraction:
+def prob(mask: int, t: ProbabilityTriple) -> Fraction:
     """Exact probability of an event: the sum of its element weights."""
-    return Fraction(mass(e, t), t.denominator)
-
-
-def complement(e: Event, t: ProbabilityTriple) -> Event:
-    _check_event(e, t)
-    return Event(t.full_mask ^ e.mask)
-
-
-def union_events(a: Event, b: Event) -> Event:
-    return Event(a.mask | b.mask)
-
-
-def intersect_events(a: Event, b: Event) -> Event:
-    return Event(a.mask & b.mask)
-
-
-def field_size_log2(t: ProbabilityTriple) -> int:
-    """log2 of the event-field size: the field is the power set, so |F| = 2^|omega|."""
-    return t.size
+    return Fraction(mass(mask, t), t.denominator)
 
 
 def all_event_masses(t: ProbabilityTriple) -> list[int]:

@@ -22,6 +22,7 @@ them over many random states at once.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping
 
@@ -35,7 +36,9 @@ __all__ = [
     "BeamSplitterConvention",
     "NonUnitaryConvention",
     "OutcomeDistribution",
+    "P_DD",
     "QuantumState",
+    "TOLERANCE",
     "apply_annihilation",
     "apply_beam_splitter",
     "max_norm_drift",
@@ -52,7 +55,12 @@ _UU = _INDEX[("u", "u")]
 _GAMMA = _INDEX[GAMMA]
 _PARTICLES = ("electron", "positron")
 
-_TOL = 1e-12
+# Slack for every float comparison, here and wherever the oracle's values
+# are checked against exact ones.
+TOLERANCE = 1e-12
+# The exact p(d, d) of the default convention, which the set model's
+# depth-3 probability must equal.
+P_DD = Fraction(1, 16)
 # Random states ``max_norm_drift`` draws and runs at a time, so its
 # memory stays the same whatever the number of trials.
 DRIFT_CHUNK = 1024
@@ -72,7 +80,7 @@ class BeamSplitterConvention:
         if m.shape != (2, 2):
             raise ValueError(f"splitter matrix must be 2x2, got shape {m.shape}")
         # A NaN or infinite entry fails the test too.
-        if not (np.isfinite(m).all() and np.max(np.abs(m @ m.conj().T - np.eye(2))) <= _TOL):
+        if not (np.isfinite(m).all() and np.max(np.abs(m @ m.conj().T - np.eye(2))) <= TOLERANCE):
             raise NonUnitaryConvention("splitter matrix is not unitary within 1e-12")
         m.setflags(write=False)
         self.matrix = m
@@ -231,9 +239,9 @@ class OutcomeDistribution:
         self._pairs = {k: float(v) for k, v in pairs.items()}
         # Written so that a NaN value fails both tests too.
         for value in (self.p_gamma, *self._pairs.values()):
-            if not -_TOL <= value <= 1 + _TOL:
+            if not -TOLERANCE <= value <= 1 + TOLERANCE:
                 raise ValueError(f"probability {value} out of [0, 1]")
-        if not abs(self.total - 1.0) <= _TOL:
+        if not abs(self.total - 1.0) <= TOLERANCE:
             raise ValueError(f"outcome distribution totals {self.total}, expected 1")
 
     def p(self, arm_e: str, arm_p: str) -> float:

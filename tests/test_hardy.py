@@ -43,7 +43,7 @@ def test_depth_three_quantities(model):
     result = hardy_probability(model)
     assert result.omega_size == 16
     assert result.probability == Fraction(1, 16)
-    assert result.joint_event.count == 1
+    assert result.joint_event.bit_count() == 1
 
 
 def test_wings_disjoint_at_depth_three(model):

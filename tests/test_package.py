@@ -4,6 +4,7 @@ Only the quantum oracle needs numpy, so the set engine must import
 without it; the subprocess tests check that in fresh interpreters.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -55,12 +56,28 @@ def test_package_import_loads_no_module():
     assert fresh(code) == "['hardysets']\n"
 
 
+def test_an_oracle_name_loads_only_its_owner():
+    code = (
+        "import sys\n"
+        "from hardysets import run_double_mzi\n"
+        "print(sorted(m for m in sys.modules if m.startswith('hardysets')))"
+    )
+    assert fresh(code) == "['hardysets', 'hardysets.quantum']\n"
+
+
 def test_each_public_name_is_its_single_owners_object():
     assert hardysets.__all__ == sorted(set(hardysets.__all__))
     for name in hardysets.__all__:
         owners = [m for m in MODULES if name in getattr(hardysets, m).__all__]
         assert len(owners) == 1, (name, owners)
         assert getattr(hardysets, name) is getattr(getattr(hardysets, owners[0]), name)
+
+
+@pytest.mark.parametrize("module", [*MODULES, "checks", "cli"])
+def test_every_module_export_resolves(module):
+    # A name left in __all__ after its definition is deleted fails here.
+    mod = importlib.import_module(f"hardysets.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_star_import_binds_every_public_name():

@@ -1,7 +1,7 @@
 """No module of the package imports a name that it does not use.
 
 A name counts as used when the module reads it anywhere or lists it in
-``__all__``, as a module that re-exports names does.
+a literal ``__all__``, as a module that re-exports names does.
 """
 
 import ast
@@ -26,7 +26,8 @@ def unused_imports(path: Path) -> list:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
+        # A computed ``__all__``, such as the package's sorted one, re-exports nothing.
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             used.update(ast.literal_eval(node.value))
@@ -46,6 +47,8 @@ def test_unused_imports_sees_every_import_form(tmp_path):
         "print(a.b.x)\n"
     )
     assert unused_imports(source) == ["e", "g", "i", "k", "os"]
+    source.write_text("from .a import b\n__all__ = sorted(['b'])\n")
+    assert unused_imports(source) == ["b"]
 
 
 def test_no_module_in_src_imports_an_unused_name():
