@@ -11,12 +11,13 @@ import random
 from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import add
-from typing import Callable
 
 import numpy as np
 
 from .hfset import (
     HfSet,
+    _canonical,
+    _intern_set,
     atom,
     empty,
     intersect,
@@ -39,6 +40,7 @@ from .hardy import (
 from .quantum import DEFAULT_CONVENTION, P_DD, TOLERANCE, max_norm_drift, run_double_mzi
 
 __all__ = [
+    "MAX_TRIALS",
     "CheckOutcome",
     "SUITES",
     "check_algebra",
@@ -50,6 +52,13 @@ __all__ = [
     "random_hfset",
     "run_suites",
 ]
+
+
+# Largest `check --trials`. The algebra suite keeps max(trials, 1000) random
+# sets alive, and the axioms and quadruples suites loop `trials` times, so
+# time and memory grow with it; at this bound `check` of all suites takes
+# about half a minute and a few hundred MiB (README, "Resource bounds").
+MAX_TRIALS = 100_000
 
 
 @dataclass
@@ -82,26 +91,33 @@ def random_hfset(
 
     Members are drawn depth first, in the order a recursive draw would
     take them, from an explicit stack of the sets still being drawn.
+    A breadth is drawn as ``rng.choice(range(max_breadth + 1))``, which
+    consumes the stream exactly as ``rng.randint(0, max_breadth)`` does.
+    Every member is a node made here, so the set goes to the intern table
+    without :func:`set_of`'s copy and member checks.
     """
+    choice, uniform = rng.choice, rng.random
     atoms = [atom(label) for label in atom_pool]
+    nothing = empty()
+    breadths = range(max_breadth + 1)
     # One frame per set being drawn: [rank budget of its members,
     # members drawn, members still to draw].
-    stack = [[max_rank - 1, [], rng.randint(0, max_breadth)]]
+    stack = [[max_rank - 1, [], choice(breadths)]]
     while True:
         frame = stack[-1]
         budget, members, left = frame
         if not left:
             stack.pop()
-            value = set_of(members)
+            value = _canonical(members)
             if not stack:
                 return value
             stack[-1][1].append(value)
         else:
             frame[2] = left - 1
-            if budget == 0 or rng.random() < 0.3:
-                members.append(rng.choice(atoms) if rng.random() < 0.7 else empty())
+            if budget == 0 or uniform() < 0.3:
+                members.append(choice(atoms) if uniform() < 0.7 else nothing)
             else:
-                stack.append([budget - 1, [], rng.randint(0, max_breadth)])
+                stack.append([budget - 1, [], choice(breadths)])
 
 
 def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:
@@ -343,26 +359,27 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     sets = [random_hfset(rng) for _ in range(max(trials, 1000))]
     failures = 0
 
-    # The message is rendered only when a law fails: printing the operands
-    # of every passing law would cost more than checking it.
-    def report(cond: bool, text: Callable[[], str]) -> bool:
+    # Each law reads `holds or failed(message)`, so its message is rendered
+    # only when it fails: printing the operands of every passing law would
+    # cost more than checking it.
+    def failed(text: str) -> bool:
+        """Record a failed law; true once five have failed."""
         nonlocal failures
-        if not cond:
-            failures += 1
-            out.fail(text())
+        failures += 1
+        out.fail(text)
         return failures >= 5
 
     fresh = atom("zz_fresh")
     for s in sets:
         text = print_set(s)
-        if report(parse_set(text) == s, lambda: f"round trip failed for {text}"):
+        if parse_set(text) != s and failed(f"round trip failed for {text}"):
             return out
-        if report(set_of(s.children) == s, lambda: f"canonicalization not idempotent: {text}"):
+        if set_of(s.children) != s and failed(f"canonicalization not idempotent: {text}"):
             return out
         for c in s.children:
-            if report(member(c, s), lambda: f"child not a member: {print_set(c)} in {text}"):
+            if not member(c, s) and failed(f"child not a member: {print_set(c)} in {text}"):
                 return out
-        if report(not member(fresh, s), lambda: f"fresh atom member of {text}"):
+        if member(fresh, s) and failed(f"fresh atom member of {text}"):
             return out
 
     for i in range(len(sets) - 1):
@@ -373,29 +390,28 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         u = unite(a, b)
         cap = intersect(a, b)
         universe = unite(u, extra)
-        if report(u == unite(b, a), lambda: f"union not commutative: {a!r} {b!r}"):
+        if u != unite(b, a) and failed(f"union not commutative: {a!r} {b!r}"):
             return out
-        if report(cap == intersect(b, a),
-                  lambda: f"intersection not commutative: {a!r} {b!r}"):
+        if cap != intersect(b, a) and failed(f"intersection not commutative: {a!r} {b!r}"):
             return out
-        if report(unite(a, unite(b, extra)) == universe,
-                  lambda: f"union not associative: {a!r} {b!r} {extra!r}"):
+        if (unite(a, unite(b, extra)) != universe
+                and failed(f"union not associative: {a!r} {b!r} {extra!r}")):
             return out
-        if report(intersect(a, intersect(b, extra)) == intersect(cap, extra),
-                  lambda: f"intersection not associative: {a!r} {b!r} {extra!r}"):
+        if (intersect(a, intersect(b, extra)) != intersect(cap, extra)
+                and failed(f"intersection not associative: {a!r} {b!r} {extra!r}")):
             return out
-        if report(unite(a, a) == a and intersect(a, a) == a, lambda: f"not idempotent: {a!r}"):
+        if (unite(a, a) != a or intersect(a, a) != a) and failed(f"not idempotent: {a!r}"):
             return out
-        if report(monadic_union(set_of([a, b])) == u,
-                  lambda: f"munion({{A,B}}) != A∪B for {a!r}, {b!r}"):
+        if (monadic_union(set_of([a, b])) != u
+                and failed(f"munion({{A,B}}) != A∪B for {a!r}, {b!r}")):
             return out
         comp_a = _difference(universe, a)
         comp_b = _difference(universe, b)
-        if report(_difference(universe, u) == intersect(comp_a, comp_b),
-                  lambda: f"De Morgan (union) failed: {a!r} {b!r} in {universe!r}"):
+        if (_difference(universe, u) != intersect(comp_a, comp_b)
+                and failed(f"De Morgan (union) failed: {a!r} {b!r} in {universe!r}")):
             return out
-        if report(_difference(universe, cap) == unite(comp_a, comp_b),
-                  lambda: f"De Morgan (intersection) failed: {a!r} {b!r} in {universe!r}"):
+        if (_difference(universe, cap) != unite(comp_a, comp_b)
+                and failed(f"De Morgan (intersection) failed: {a!r} {b!r} in {universe!r}")):
             return out
 
     if failures == 0:
@@ -406,7 +422,8 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
 
 def _difference(universe: HfSet, x: HfSet) -> HfSet:
     members = set(x.children)
-    return set_of(c for c in universe.children if c not in members)
+    # A subsequence of the universe's members is already canonical.
+    return _intern_set(tuple([c for c in universe.children if c not in members]))
 
 
 SUITES = {

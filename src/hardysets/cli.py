@@ -2,14 +2,20 @@
 
 Exit codes: 0 when every performed check passes, 1 when a check fails,
 2 on usage errors (bad flags, malformed expressions, invalid atom
-quadruples) and on values past the size bounds (``hfset.MAX_PRINT_CHARS``
-printed characters, ``numerals.MAX_LEVEL`` numeral levels).
+quadruples), on values past the size bounds (``hfset.MAX_PRINT_CHARS``
+printed characters, ``numerals.MAX_LEVEL`` numeral levels,
+``checks.MAX_TRIALS`` check trials) and when the output cannot be
+written. A failed write of stdout, such as to a pipe whose reader has
+gone or to a full disk, ends with one ``error: cannot write output``
+line on stderr and exit 2, not a traceback; this covers the flush at
+exit too, because :func:`main` flushes stdout before it returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -17,6 +23,8 @@ from functools import partial
 
 from .hfset import (
     ParseError,
+    _IDENT,
+    _SPACE,
     atom,
     cardinality,
     empty,
@@ -36,16 +44,14 @@ from .hardy import (
     intersection_identity_check,
 )
 from .quantum import P_DD, TOLERANCE, run_double_mzi
-from .checks import SUITES, run_suites
+from .checks import MAX_TRIALS, SUITES, run_suites
 
 __all__ = ["main"]
 
 _AXIOM_UNION_SAMPLES = 10000
 _AXIOM_SEED = 42
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"[0-9]+")
-_SPACE = re.compile(r"\s*")  # the characters of str.isspace
 
 
 class ExpressionError(ValueError):
@@ -364,8 +370,8 @@ def _atom_list(text: str) -> list:
     return labels
 
 
-def _int_at_least(name: str, low: int):
-    """An argparse type: an integer ``name`` no smaller than ``low``."""
+def _int_in(name: str, low: int, high: int | None = None):
+    """An argparse type: an integer ``name`` from ``low`` to ``high`` (if given)."""
 
     def parse(text: str) -> int:
         try:
@@ -374,6 +380,8 @@ def _int_at_least(name: str, low: int):
             raise argparse.ArgumentTypeError(f"invalid {name} {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(f"{name} must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be at most {high}")
         return value
 
     return parse
@@ -392,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="build the model and run every check")
     p.add_argument("--atoms", type=_atom_list, default=["x1", "x2", "x3", "x4"],
                    help="four comma-separated atom labels (default x1,x2,x3,x4)")
-    p.add_argument("--depth", type=_int_at_least("depth", 1), default=3,
+    p.add_argument("--depth", type=_int_in("depth", 1), default=3,
                    help="numeral depth for the wings (default 3)")
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_reproduce)
@@ -403,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("check", help="run the invariant suites")
-    p.add_argument("--seed", type=_int_at_least("seed", 0), default=42)
-    p.add_argument("--trials", type=_int_at_least("trials", 1), default=1000)
+    p.add_argument("--seed", type=_int_in("seed", 0), default=42)
+    p.add_argument("--trials", type=_int_in("trials", 1, MAX_TRIALS), default=1000,
+                   help=f"trials per suite, 1 to {MAX_TRIALS} (default 1000)")
     p.add_argument("--suite", choices=sorted(SUITES), default=None)
     p.add_argument("--verbose", action="store_true",
                    help="print every check line, not only failures")
@@ -424,12 +433,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # Flushed here, a failed write is caught below, not at exit. With
+        # no stdout at all (its descriptor closed), print writes nothing.
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        return _write_failed(exc)
+    return code
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     return args.func(args)
+
+
+def _write_failed(exc: OSError) -> int:
+    """Report a failed write of the output in one line, and return exit code 2.
+
+    What stdout still buffers goes to the null device, so the flush at
+    interpreter exit cannot fail again.
+    """
+    try:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+    except (OSError, ValueError):  # stdout has no file descriptor
+        pass
+    return 2
 
 
 if __name__ == "__main__":

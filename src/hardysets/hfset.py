@@ -28,6 +28,12 @@ recursion limit. The one bound is on size: a value that would print
 more than :data:`MAX_PRINT_CHARS` characters is refused when it would
 be built, with :class:`ValueTooLarge`.
 
+The parser scans the text a character at a time and calls a regular
+expression only where an identifier starts or whitespace runs. At a
+closing brace it looks the members up in the set table as read, before
+any sort: printed text lists them in canonical order, so reading back
+the text of a live value finds every node there and sorts nothing.
+
 Printing and parsing both exploit shared structure. The printer writes
 the text of a node that is a member of several nodes once and reuses
 it. The parser reads a repeated sub-literal once: within one call, after
@@ -84,10 +90,10 @@ MAX_PRINT_CHARS = 1 << 26
 # per rank.
 _DEEP_RANK = 100
 
-_ATOM_LABEL = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-# One token after optional whitespace: punctuation or an atom identifier,
-# or None where the text has anything else (or ends).
-_TOKEN = re.compile(r"\s*([{},∅]|[A-Za-z][A-Za-z0-9_]*)?")
+# An identifier (an atom label; in cli, also a function name) starts with
+# one of _LETTERS. \s is str.isspace.
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 _SPACE = re.compile(r"\s*")
 
 
@@ -174,7 +180,7 @@ class HfSet:
         # Only _intern_atom (label=) and _intern_set (children=, deduplicated
         # and in canonical order) call this.
         if children is None:
-            if not _ATOM_LABEL.match(label):  # type: ignore[arg-type]
+            if not _IDENT.fullmatch(label):  # type: ignore[arg-type]
                 raise ValueError(
                     f"invalid atom label {label!r}: need a letter followed by "
                     "letters, digits or underscores"
@@ -478,6 +484,9 @@ def print_set(s: HfSet) -> str:
 
 # Parser states: what the next token may be.
 _START, _FIRST, _NEXT, _AFTER = range(4)  # literal, '}' or member, member, ',' or '}'
+# What each state's error says was expected.
+_EXPECTED = ("'{' or '∅'", "a set or an atom identifier", "a set or an atom identifier",
+             "',' or '}'")
 
 
 def parse_set(text: str) -> HfSet:
@@ -500,6 +509,17 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
     its ``∅``); what follows is left to the caller. Used by expression
     readers that embed set literals. The ``byte_offset`` of a
     :class:`ParseError` counts from the start of ``text``.
+
+    The text is scanned a character at a time: ``{``, ``}``, ``,`` and
+    ``∅`` are tokens of one character, a letter starts an identifier,
+    and only where the text has whitespace is a run of it skipped.
+
+    A set is looked up by its member tuple, as read, before it is
+    sorted. Printed text lists members in canonical order, so a set that
+    is still live is found in the intern table as it stands; only text in
+    another order, with repeats, or of a new value goes to the sort. A
+    tuple that is a key of the table is that node's member tuple, so the
+    lookup cannot find a wrong node.
 
     A repeated sub-literal is read once. For the length of one call the
     parser keeps the text each set node was first read from, and, for
@@ -528,65 +548,88 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
     # Member -> the member that followed it in a set read twice. Learning
     # only from sets that repeat keeps it off the path of text that does not.
     follower: dict[HfSet, HfSet] = {}
+    # A negative start counts from 0, as it does for a regular expression.
+    pos = max(pos, 0)
     budget = len(text) - pos
+    find = _SETS.get
     state = _START
     while True:
-        expected = None
-        # The token pattern also matches the empty string, so the text's
-        # end comes as a last match whose token is None, and every state
-        # rejects it: the loop ends by return or break.
-        for m in _TOKEN.finditer(text, pos):
-            token = m[1]
+        # The character at pos, or "" at the end of the text, which every
+        # state rejects.
+        try:
+            c = text[pos]
+        except IndexError:
+            c = ""
+        if c == "{":
             if state == _AFTER:
-                if token == ",":
-                    state = _NEXT
-                    # `value` is the member before this comma.
-                    if budget > 0 and (value := follower.get(value)) is not None:
-                        source = sources.get(value)
-                        if source is not None:
-                            if type(source) is tuple:
-                                source = sources[value] = text[source[0]:source[1]]
-                            pos = _SPACE.match(text, m.end()).end()  # type: ignore[union-attr]
-                            if text.startswith(source, pos):
-                                pos += len(source)
-                                break
-                            budget -= len(source)
-                    continue
-                if token != "}":
-                    expected = "',' or '}'"
-                    break
+                break
+            open_sets.append([])
+            starts.append(pos)
+            pos += 1
+            state = _FIRST
+            continue
+        elif c == "}":
+            if state == _AFTER:
                 members = open_sets.pop()
-                value = _canonical(members)
+                pos += 1
+                ref = find(tuple(members))
+                if ref is None or (value := ref()) is None:
+                    value = _canonical(members)
                 start = starts.pop()
                 if value in sources:
                     follower.update(pairwise(members))
                 elif open_sets and open_sets[-1]:
-                    sources[value] = (start, m.end())
-            elif token == "{":
-                open_sets.append([])
-                starts.append(m.start(1))
-                state = _FIRST
-                continue
-            elif token == "∅":
-                value = _EMPTY
-            elif token == "}" and state == _FIRST:
+                    sources[value] = (start, pos)
+            elif state == _FIRST:
                 open_sets.pop()
                 starts.pop()
+                pos += 1
                 value = _EMPTY
-            elif token and token not in "{},∅" and state != _START:
-                value = _intern_atom(token)
             else:
-                expected = "'{' or '∅'" if state == _START else "a set or an atom identifier"
                 break
-            if not open_sets:
-                return value, m.end()
-            open_sets[-1].append(value)
-            state = _AFTER
-        if expected is not None:
-            raise _error(text, m.start(1) if token else m.end(), expected)
-        # The follower matched: it is the next member, read whole.
+        elif c == ",":
+            if state != _AFTER:
+                break
+            pos += 1
+            state = _NEXT
+            # `value` is the member before this comma.
+            if budget > 0 and (value := follower.get(value)) is not None:
+                source = sources.get(value)
+                if source is not None:
+                    if type(source) is tuple:
+                        source = sources[value] = text[source[0]:source[1]]
+                    if text[pos:pos + 1].isspace():
+                        pos = _SPACE.match(text, pos).end()  # type: ignore[union-attr]
+                    if text.startswith(source, pos):
+                        # The follower matched: it is the next member, read whole.
+                        pos += len(source)
+                        open_sets[-1].append(value)
+                        state = _AFTER
+                    else:
+                        budget -= len(source)
+            continue
+        elif c in _LETTERS:
+            if state == _START or state == _AFTER:
+                break
+            m = _IDENT.match(text, pos)
+            value = _intern_atom(m[0])  # type: ignore[index]
+            pos = m.end()  # type: ignore[union-attr]
+        elif c == "∅":
+            if state == _AFTER:
+                break
+            pos += 1
+            value = _EMPTY
+        elif c.isspace():
+            pos = _SPACE.match(text, pos).end()  # type: ignore[union-attr]
+            continue
+        else:
+            break
+        # A value is complete: the whole literal, or the next member.
+        if not open_sets:
+            return value, pos
         open_sets[-1].append(value)
         state = _AFTER
+    raise _error(text, pos, _EXPECTED[state])
 
 
 def _error(text: str, pos: int, expected: str) -> ParseError:
@@ -599,6 +642,7 @@ def _check_value(s: HfSet) -> None:
 
 
 def _check_set(s: HfSet, op: str) -> None:
-    _check_value(s)
+    if not isinstance(s, HfSet):
+        raise TypeError(f"expected an HfSet value, got {type(s).__name__}")
     if s._children is None:
         raise AtomOperand(f"{op} requires a set, got atom '{s._label}'")

@@ -50,6 +50,16 @@ def test_random_hfset_draws_as_the_recursion_does(seed, shape):
     assert ours.random() == reference.random()
 
 
+@pytest.mark.parametrize("seed", [7, 42])
+def test_random_hfset_draws_the_algebra_input_as_the_recursion_does(seed):
+    # The whole input of check_algebra(seed): its 1000 sets, each the node
+    # the recursion draws, and the stream left in the same place.
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(1000):
+        assert checks.random_hfset(ours) is recursive_random_hfset(reference)
+    assert ours.random() == reference.random()
+
+
 def first_argument(x, y):
     return x
 

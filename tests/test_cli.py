@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from hardysets import cli
+from hardysets.checks import MAX_TRIALS
 from hardysets.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -292,6 +299,8 @@ def test_check_unknown_suite_is_usage_error(capsys):
     (("--seed", "x"), "argument --seed: invalid seed 'x'"),
     (("--trials", "-5"), "argument --trials: trials must be at least 1"),
     (("--trials", "0"), "argument --trials: trials must be at least 1"),
+    (("--trials", str(MAX_TRIALS + 1)), f"argument --trials: trials must be at most {MAX_TRIALS}"),
+    (("--trials", "1" + "0" * 30), f"argument --trials: trials must be at most {MAX_TRIALS}"),
 ])
 def test_check_bad_seed_or_trials_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, "check", "--suite", "quantum", *argv)
@@ -300,3 +309,68 @@ def test_check_bad_seed_or_trials_is_usage_error(capsys, argv, message):
     assert [line for line in err.splitlines() if "error" in line] == [
         f"hardysets check: error: {message}"
     ]
+
+
+def test_trials_past_the_bound_are_refused_before_any_suite_runs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("a suite ran"))
+    code, out, err = run(capsys, "check", "--trials", str(MAX_TRIALS + 1))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"hardysets check: error: argument --trials: trials must be at most {MAX_TRIALS}"
+    )
+
+
+def test_trials_at_the_bound_are_accepted():
+    args = cli.build_parser().parse_args(["check", "--trials", str(MAX_TRIALS)])
+    assert args.trials == MAX_TRIALS
+
+
+# --- failed writes of the output, in a child process -------------------------
+
+
+def hardysets_process(*argv, stdout):
+    return subprocess.Popen(
+        [sys.executable, "-m", "hardysets", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+
+
+def test_closed_pipe_ends_with_one_error_line_and_exit_2():
+    # As `hardysets eval "vn(20,q07)" | head -c 10`: the reader goes away
+    # while 3 MB of output are still to be written.
+    read_end, write_end = os.pipe()
+    process = hardysets_process("eval", "vn(20,q07)", stdout=write_end)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.read(10) == b"{q07,{q07}"
+    err = process.stderr.read().decode()
+    assert process.wait(timeout=60) == 2
+    assert err == "error: cannot write output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ("reproduce", "--format", "machine"),  # fails at the final flush
+    ("eval", "vn(20,q07)"),  # fails while printing
+])
+def test_full_disk_ends_with_one_error_line_and_exit_2(argv):
+    with open("/dev/full", "wb") as full:
+        process = hardysets_process(*argv, stdout=full)
+        err = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 2
+    assert err == "error: cannot write output: No space left on device\n"
+
+
+def test_a_closed_stdout_is_not_a_write_failure():
+    # With descriptor 1 closed, the interpreter has no sys.stdout and
+    # print writes nothing: exit 0 and no message, as before any handler.
+    process = subprocess.run(
+        ["sh", "-c", '"$0" -m hardysets eval "{a}" >&-', sys.executable],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert (process.returncode, process.stderr) == (0, b"")

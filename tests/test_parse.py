@@ -5,9 +5,13 @@ comparison instead of token by token. These tests check that this never
 changes a result (value, end offset, error offset and expectation, all
 compared with the package-free reader of ``parser_oracle``), that shared
 text is read in work proportional to its distinct set nodes, and that
-text which defeats the prediction costs no more than before.
+text which defeats the prediction costs no more than before. The last
+section checks the member-tuple lookup: printed text of a live value is
+never sorted, and members in any other order still read as the
+canonical node.
 """
 
+import random
 import time
 import tracemalloc
 
@@ -20,6 +24,7 @@ from conftest import hf_values
 from hardysets import (
     ParseError,
     atom,
+    checks,
     empty,
     hfset,
     parse_set,
@@ -165,10 +170,14 @@ def test_whitespace_inside_one_copy_of_a_repeat():
 
 @pytest.fixture
 def parse_closes(monkeypatch):
-    """Counts the non-empty sets the parser closes token by token.
+    """Counts the sets the parser sorts.
 
-    A set read whole by a prediction is not closed again, so this is the
-    number of ``_canonical`` calls the parser makes.
+    A set read token by token is looked up by its member tuple as read,
+    and sorted by ``_canonical`` only when that tuple is not in the
+    intern table; a set read whole by a prediction is not closed again.
+    So on text whose sets are all new, this is the number of non-empty
+    sets closed token by token, and on the printed text of a live value
+    it is zero.
     """
     calls = []
     original = hfset._canonical
@@ -179,6 +188,14 @@ def parse_closes(monkeypatch):
 
     monkeypatch.setattr(hfset, "_canonical", counting)
     return calls
+
+
+class ExaminedText(str):
+    """A text that counts the characters the scanner takes from it by index or slice."""
+
+    def __getitem__(self, index):
+        self.examined += 1
+        return str.__getitem__(self, index)
 
 
 def set_nodes(value):
@@ -205,16 +222,23 @@ def comb(depth, leaf):
 
 @pytest.mark.parametrize("value", [von_neumann(16, atom("a")), wings(14)], ids=["vn16", "wings14"])
 def test_shared_text_closes_o_distinct_nodes(parse_closes, value):
-    text = print_set(value)
+    text = ExaminedText(print_set(value))
+    text.examined = 0
     parse_closes.clear()
     assert parse_set(text) is value
-    # Token by token, vn(16) alone closes 2^15 sets.
-    assert len(parse_closes) <= 4 * len(set_nodes(value))
+    # The value is live and its text is in canonical order, so every set
+    # is found in the intern table and none is sorted.
+    assert parse_closes == []
+    # Token by token, the scan takes each of the text's characters, and
+    # vn(16) alone closes 2^15 sets. The predictions leave a few hundred
+    # characters per distinct node, under 2.5% of these texts.
+    assert text.examined <= len(text) // 40
 
 
 def test_two_combs_close_every_set_token_by_token(parse_closes):
     # No set is read twice, so nothing is predicted: every set is closed
-    # token by token, as many closes as token-by-token reading makes.
+    # token by token, as many closes as token-by-token reading makes. All
+    # of them are new nodes, so each close sorts.
     depth = 20000
     text = "{" + comb(depth, "c") + "," + comb(depth, "d") + "}"
     value = parse_set(text)
@@ -266,3 +290,46 @@ def test_peak_memory_of_a_deep_numeral_is_a_small_multiple_of_its_text():
     # The kept sources are slices of the text, one byte per character here;
     # those of vn(1)..vn(18) add up to about an eighth of it.
     assert peak < len(text)
+
+
+# --- the member-tuple lookup -----------------------------------------------
+
+
+def test_printed_text_of_live_values_is_never_sorted(parse_closes):
+    rng = random.Random(42)
+    values = [checks.random_hfset(rng) for _ in range(1000)]
+    values += [von_neumann(12, atom("q07")), wings(6), set_of([atom("b"), atom("a")])]
+    parse_closes.clear()
+    for value in values:
+        assert parse_set(print_set(value)) is value
+    assert parse_closes == []
+
+
+@pytest.mark.parametrize("text, members, sorts", [
+    ("{b,a,a}", "ab", [3]),
+    ("{{a},a}", ["a", "{a}"], [2]),
+    ("{ b , a }", "ab", [2]),
+    ("{a,b}", "ab", []),
+    ("{a, b}", "ab", []),
+])
+def test_unprinted_order_reads_as_the_canonical_node(parse_closes, text, members, sorts):
+    # The canonical node is live, so its member tuple is in the intern
+    # table; a tuple in another order or with repeats is not, and is sorted.
+    value = set_of([parse_set(m) if m.startswith("{") else atom(m) for m in members])
+    parse_closes.clear()
+    assert parse_set(text) is value
+    assert parse_closes == sorts
+    assert print_set(value) == "{" + ",".join(members) + "}"
+
+
+def test_unprinted_order_of_a_new_value_reads_as_its_canonical_node(parse_closes):
+    value = parse_set("{{lookup_b},lookup_b,lookup_a,lookup_a}")
+    assert parse_closes == [1, 4]
+    assert print_set(value) == "{lookup_a,lookup_b,{lookup_b}}"
+    assert parse_set("{lookup_a,lookup_b,{lookup_b}}") is value
+    assert parse_closes == [1, 4]
+
+
+def test_a_negative_start_reads_from_the_start_of_the_text():
+    assert parse_set_prefix("{a}", -2) == (set_of([atom("a")]), 3)
+    assert parse_set_prefix(" ∅x", -1) == (empty(), 2)
