@@ -291,7 +291,7 @@ def _partition_quadruples() -> list:
     return quads
 
 
-def check_distinctness(seed: int = 42, trials: int = 1000, depth: int = 3) -> CheckOutcome:
+def check_distinctness(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     """Collision survey: wing disjointness needs more than the adjacent conditions.
 
     At depth 3 the wings are disjoint exactly when the C-wing atoms
@@ -301,7 +301,7 @@ def check_distinctness(seed: int = 42, trials: int = 1000, depth: int = 3) -> Ch
     """
     out = CheckOutcome("distinctness")
     for labels in _partition_quadruples():
-        report = distinctness_diagnostic(labels, depth)
+        report = distinctness_diagnostic(labels, 3)
         expected_disjoint = not (set(labels[:2]) & set(labels[2:]))
         tag = ""
         if report.exposes_gap:
@@ -312,7 +312,7 @@ def check_distinctness(seed: int = 42, trials: int = 1000, depth: int = 3) -> Ch
             f"disjoint={report.c_d_disjoint} |overlap|={report.intersection_size} "
             f"|omega|={report.omega_size}{tag}",
         )
-    gap = distinctness_diagnostic(("a", "b", "a", "d"), depth)
+    gap = distinctness_diagnostic(("a", "b", "a", "d"), 3)
     out.expect(
         gap.exposes_gap and gap.diagonal_collisions == ((1, 3),),
         "(a,b,a,d) satisfies all four adjacent conditions yet the wings overlap",

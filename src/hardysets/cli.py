@@ -8,7 +8,9 @@ printed characters, ``numerals.MAX_LEVEL`` numeral levels,
 written. A failed write of stdout, such as to a pipe whose reader has
 gone or to a full disk, ends with one ``error: cannot write output``
 line on stderr and exit 2, not a traceback; this covers the flush at
-exit too, because :func:`main` flushes stdout before it returns.
+exit too, because :func:`main` flushes stdout before it returns. A
+stdout closed before the start is refused the same way, before the
+command runs.
 """
 
 from __future__ import annotations
@@ -433,12 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        # Descriptor 1 was closed at start-up: print would drop the output.
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 2
     try:
         code = _run(argv)
-        # Flushed here, a failed write is caught below, not at exit. With
-        # no stdout at all (its descriptor closed), print writes nothing.
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        # Flushed here, a failed write is caught below, not at exit.
+        sys.stdout.flush()
     except OSError as exc:
         return _write_failed(exc)
     return code

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hfset import HfSet, atom, intersect, monadic_union, set_of, unite
+from .hfset import HfSet, _von_neumann_tower, atom, intersect, monadic_union, set_of, unite
 from .numerals import von_neumann, zermelo
 from .probability import (
     NotAnEvent,
@@ -149,29 +149,22 @@ def _collisions(labels: Sequence[str]) -> list[tuple[int, int, str]]:
     return found
 
 
-def _von_neumann_members(depth: int, a: HfSet) -> tuple[HfSet, ...]:
-    """Levels 0..depth-1 of the von Neumann numerals of atom ``a``.
-
-    They are the members of vn(depth, a), which is not built.
-    """
-    top = von_neumann(depth - 1, a)
-    return (top,) if depth == 1 else top.children + (top,)
-
-
 def _wings(labels: Sequence[str], depth: int) -> tuple[HfSet, HfSet, HfSet, HfSet]:
     """The C and D wings, then vn(depth, x1) and zm(depth, x1), the hidden sets.
 
     Only x1's two towers are built whole, first, because the model holds
-    them. Of the other six towers the wings need only the members: levels
-    0..depth-1 of a von Neumann tower, level depth-1 of a Zermelo tower.
+    them; their checks refuse a depth past ``numerals.MAX_LEVEL`` before
+    any other tower is built. Of the other six towers the wings need only
+    the members: levels 0..depth-1 of a von Neumann tower, which its loop
+    returns, and level depth-1 of a Zermelo tower.
     """
     a1, a2, a3, a4 = (atom(label) for label in labels)
     vn1, zm1 = von_neumann(depth, a1), zermelo(depth, a1)
     # The members of vn(depth) and of zm(depth) over x2, x3 and x4.
-    vn2, vn3, vn4 = (_von_neumann_members(depth, a) for a in (a2, a3, a4))
-    zm2, zm3, zm4 = ((zermelo(depth - 1, a),) for a in (a2, a3, a4))
-    c_set = set_of(vn1.children + vn2 + zm3 + zm4)
-    d_set = set_of(vn4 + vn3 + zm2 + zm1.children)
+    vn2, vn3, vn4 = (_von_neumann_tower(a, depth - 1) for a in (a2, a3, a4))
+    zm2, zm3, zm4 = (zermelo(depth - 1, a) for a in (a2, a3, a4))
+    c_set = set_of([*vn1.children, *vn2, zm3, zm4])
+    d_set = set_of([*vn4, *vn3, zm2, *zm1.children])
     return c_set, d_set, vn1, zm1
 
 

@@ -6,15 +6,16 @@ stored in a fixed total order, so every value has exactly one textual
 rendering.
 
 Every value is interned (hash-consing): the module keeps one node per
-distinct value, in weak tables keyed by the atom label or by the
-canonical tuple of a set's members. Two equal values are therefore the
-same object, so equality and hashing are object identity, and building
-a node costs O(members) however deep the values below it are. Nodes
+distinct value, in one weak table keyed by the atom label (a ``str``)
+or by the canonical tuple of a set's members (a ``tuple``). Two equal
+values are therefore the same object, so equality and hashing are
+object identity, and building a node costs O(members) however deep the values below it are. Nodes
 come only from :func:`atom`, :func:`empty`, :func:`set_of`, the set
 algebra and the parser; ``HfSet(...)`` is not a public constructor. A
 node lives as long as something refers to it, and its table entry goes
 with it. The numeral towers, whose level tuples are canonical by
-construction, go to the set table without a sort.
+construction, go to the table without a sort, and the von Neumann loop
+returns every level it builds.
 
 The canonical order puts atoms before set nodes, compares atoms by
 label, and compares set nodes by cardinality first and then childwise.
@@ -30,9 +31,9 @@ be built, with :class:`ValueTooLarge`.
 
 The parser scans the text a character at a time and calls a regular
 expression only where an identifier starts or whitespace runs. At a
-closing brace it looks the members up in the set table as read, before
-any sort: printed text lists them in canonical order, so reading back
-the text of a live value finds every node there and sorts nothing.
+closing brace it looks the members up in the intern table as read,
+before any sort: printed text lists them in canonical order, so reading
+back the text of a live value finds every node there and sorts nothing.
 
 Printing and parsing both exploit shared structure. The printer writes
 the text of a node that is a member of several nodes once and reuses
@@ -240,7 +241,7 @@ class HfSet:
         return print_set(self)
 
     def __reduce__(self):
-        # Copies and unpickled values are looked up in the intern tables
+        # Copies and unpickled values are looked up in the intern table
         # too, so they stay the one node of their value.
         if self._children is None:
             return (atom, (self._label,))
@@ -256,48 +257,42 @@ class _Ref(weakref.ref):
     __slots__ = ("key",)
 
 
-# The intern tables: atom label, or canonical member tuple, -> weak
-# reference to the one node of that value. The reference's callback
-# removes the entry when the node is freed. Each table has its own
-# intern and forget function, so neither asks which table a key is for.
-_ATOMS: dict[str, _Ref] = {}
-_SETS: dict[tuple, _Ref] = {}
+# The intern table: atom label (a str) or canonical member tuple (a
+# tuple) -> weak reference to the one node of that value. The two kinds
+# of key never compare equal, so atoms and sets share the table. The
+# reference's callback removes the entry when the node is freed.
+_NODES: dict[str | tuple, _Ref] = {}
 
 
 def _intern_atom(label: str) -> HfSet:
     """The atom node of ``label``, made on first use."""
-    ref = _ATOMS.get(label)
+    ref = _NODES.get(label)
     if ref is not None:
         node = ref()
         if node is not None:
             return node
     node = HfSet(label=label)
-    ref = _ATOMS[label] = _Ref(node, _forget_atom)
+    ref = _NODES[label] = _Ref(node, _forget)
     ref.key = label
     return node
 
 
 def _intern_set(members: tuple) -> HfSet:
     """The set node of a canonical member tuple, made on first use."""
-    ref = _SETS.get(members)
+    ref = _NODES.get(members)
     if ref is not None:
         node = ref()
         if node is not None:
             return node
     node = HfSet(children=members)
-    ref = _SETS[members] = _Ref(node, _forget_set)
+    ref = _NODES[members] = _Ref(node, _forget)
     ref.key = members
     return node
 
 
-def _forget_atom(ref: _Ref) -> None:
-    if _ATOMS.get(ref.key) is ref:
-        del _ATOMS[ref.key]
-
-
-def _forget_set(ref: _Ref) -> None:
-    if _SETS.get(ref.key) is ref:
-        del _SETS[ref.key]
+def _forget(ref: _Ref) -> None:
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
 
 
 def _canonical(members: Iterable[HfSet]) -> HfSet:
@@ -343,27 +338,29 @@ def set_of(children: Iterable[HfSet]) -> HfSet:
     return _canonical(kids)
 
 
-def _von_neumann_tower(base: HfSet, n: int) -> HfSet:
-    """Level ``n`` of the von Neumann numerals on ``base``, an atom or ∅.
+def _von_neumann_tower(base: HfSet, n: int) -> list[HfSet]:
+    """Levels 0..n of the von Neumann numerals on ``base``, an atom or ∅.
 
     Level k + 1 is the set of levels 0..k, and that tuple is canonical as
     it stands: the base sorts first (an atom before every set node, ∅ as
     the one set of cardinality 0) and level k has k members, so the
     cardinality-first key ascends along it. Each level therefore goes to
-    the set table without the sort and member checks of :func:`set_of`.
-    The caller (:mod:`hardysets.numerals`) has checked ``base`` and ``n``.
+    the intern table without the sort and member checks of :func:`set_of`.
+    Levels 0..n are the members of level n + 1, which is not built. The
+    caller (:mod:`hardysets.numerals`, :mod:`hardysets.hardy`) has
+    checked ``base`` and ``n``.
     """
     levels = [base]
     for _ in range(n):
         levels.append(_intern_set(tuple(levels)))
-    return levels[n]
+    return levels
 
 
 def _zermelo_tower(base: HfSet, n: int) -> HfSet:
     """Level ``n`` of the Zermelo numerals on ``base``: ``n`` nested singletons.
 
-    A one-member tuple is canonical, so each level goes to the set table
-    directly, as in :func:`_von_neumann_tower`.
+    A one-member tuple is canonical, so each level goes to the intern
+    table directly, as in :func:`_von_neumann_tower`.
     """
     current = base
     for _ in range(n):
@@ -551,7 +548,7 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
     # A negative start counts from 0, as it does for a regular expression.
     pos = max(pos, 0)
     budget = len(text) - pos
-    find = _SETS.get
+    find = _NODES.get
     state = _START
     while True:
         # The character at pos, or "" at the end of the text, which every

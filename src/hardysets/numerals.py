@@ -16,7 +16,7 @@ Both towers are built by :mod:`hardysets.hfset`, which owns the
 canonical order: each level's member tuple is canonical as it stands,
 so it skips the sort and member checks of
 :func:`~hardysets.hfset.set_of`. This module checks the level and the
-base first.
+base first; of the levels the von Neumann loop returns, it takes the top.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def von_neumann(n: int, base: HfSet | None = None) -> HfSet:
     Cardinality is n for n >= 1.
     """
     _check_level(n)
-    return _von_neumann_tower(_check_base(base), n)
+    return _von_neumann_tower(_check_base(base), n)[n]
 
 
 def zermelo(n: int, base: HfSet | None = None) -> HfSet:

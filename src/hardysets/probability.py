@@ -15,8 +15,8 @@ denominator L of the weights, so every exact value in the triple is
 s/L for an integer mass s. Sums, bounds and comparisons run on the
 integers (:func:`mass`, :func:`all_event_masses`, ``0 <= s <= L``);
 :class:`fractions.Fraction` appears only at the API boundary, where
-``weights``, :func:`prob` and :func:`all_event_probabilities` return
-exact rationals. No floating point is used anywhere in this module.
+``weights``, :func:`prob` and :func:`all_event_probabilities` build
+exact rationals from the numerators. No floating point is used here.
 
 An event is a plain ``int`` bitmask, so the intersection of ``a`` and
 ``b`` is ``a & b``. :func:`mass` and :func:`prob` raise
@@ -26,8 +26,8 @@ past |omega|.
 When the measure is uniform (all numerators equal), :func:`mass` is the
 event's popcount times that numerator; otherwise it sums the numerators
 at the mask's set bits. :func:`uniform_triple` writes numerator 1 over
-denominator n for each of its n elements directly, with no Fraction per
-element; its elements are checked and ordered by the same code as those
+denominator n for each of its n elements directly and makes no
+Fraction; its elements are checked and ordered by the same code as those
 of the general constructor.
 
 Elements given in strictly ascending canonical order, as the members of
@@ -126,15 +126,15 @@ class ProbabilityTriple:
     their canonical keys already ascend strictly; events are bitmasks
     over that order. Only the uniform constructor is used by
     the Hardy model, but arbitrary non-negative exact weights summing to
-    one are accepted. Each weight is also kept as an integer numerator
-    over ``denominator``, the least common denominator of all weights.
+    one are accepted. Each weight is kept only as an integer numerator
+    over ``denominator``, the least common denominator of all weights;
+    ``weights`` builds the Fractions from them when it is read.
     A triple is immutable: after the constructor no attribute, public or
     private, can be assigned or deleted.
     """
 
     __slots__ = (
         "_omega",
-        "_weights",
         "_numerators",
         "_denominator",
         "_uniform_numerator",
@@ -150,7 +150,7 @@ class ProbabilityTriple:
         ``weights`` holds one exact weight per element, or is None for the
         uniform measure of :func:`uniform_triple`. That measure is 1/n on
         each of the n elements, numerator 1 over denominator n, so it
-        needs no per-weight Fraction and no sign or sum check.
+        needs no Fraction and no sign or sum check.
         """
         if not elems:
             raise EmptySampleSpace("sample space must be non-empty")
@@ -162,9 +162,7 @@ class ProbabilityTriple:
                     f"sample-space elements must be HfSet values, got {type(e).__name__}"
                 )
         n = len(elems)
-        if weights is None:
-            exact: Sequence[Fraction] = (Fraction(1, n),) * n
-        else:
+        if weights is not None:
             exact = []
             for w in weights:
                 if isinstance(w, float):
@@ -175,17 +173,17 @@ class ProbabilityTriple:
             # Strictly ascending keys: already canonical, and pairwise
             # distinct because equal values have equal keys.
             omega = elems
-            ordered = tuple(exact)
+            order = range(n)
         else:
             order = sorted(range(n), key=keys.__getitem__)
             omega = tuple(map(elems.__getitem__, order))
             dups = {print_set(b) for a, b in pairwise(omega) if a is b}
             if dups:
                 raise DuplicateElement(sorted(dups))
-            ordered = tuple(map(exact.__getitem__, order))
         if weights is None:
             denominator, numerators = n, (1,) * n
         else:
+            ordered = [exact[i] for i in order]
             denominator = math.lcm(*{w.denominator for w in ordered})
             numerators = tuple(w.numerator * (denominator // w.denominator) for w in ordered)
             # A Fraction's denominator is positive, so its sign is its numerator's.
@@ -202,7 +200,6 @@ class ProbabilityTriple:
         # The only writes: __setattr__ refuses every later one.
         init = partial(object.__setattr__, self)
         init("_omega", omega)
-        init("_weights", ordered)
         init("_numerators", numerators)
         init("_denominator", denominator)
         init("_uniform_numerator", uniform_numerator)
@@ -216,7 +213,7 @@ class ProbabilityTriple:
 
     def __reduce__(self):
         # Copies and unpickled triples are rebuilt through the constructor's checks.
-        return type(self), (self._omega, self._weights)
+        return type(self), (self._omega, self.weights)
 
     @property
     def omega(self) -> tuple[HfSet, ...]:
@@ -224,7 +221,8 @@ class ProbabilityTriple:
 
     @property
     def weights(self) -> tuple[Fraction, ...]:
-        return self._weights
+        """The exact weights, in omega's order: each numerator over ``denominator``."""
+        return tuple(Fraction(k, self._denominator) for k in self._numerators)
 
     @property
     def denominator(self) -> int:
@@ -251,7 +249,7 @@ def uniform_triple(elements: Iterable[HfSet]) -> ProbabilityTriple:
     """Uniform measure: every element gets weight 1/|omega| exactly.
 
     The same triple as ``ProbabilityTriple(elements, [Fraction(1, n)] * n)``,
-    with the same errors, made without a Fraction per element.
+    with the same errors, made without any Fraction.
     """
     t = ProbabilityTriple.__new__(ProbabilityTriple)
     t._init(tuple(elements), None)

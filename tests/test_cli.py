@@ -364,13 +364,16 @@ def test_full_disk_ends_with_one_error_line_and_exit_2(argv):
     assert err == "error: cannot write output: No space left on device\n"
 
 
-def test_a_closed_stdout_is_not_a_write_failure():
-    # With descriptor 1 closed, the interpreter has no sys.stdout and
-    # print writes nothing: exit 0 and no message, as before any handler.
-    process = subprocess.run(
-        ["sh", "-c", '"$0" -m hardysets eval "{a}" >&-', sys.executable],
-        capture_output=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        timeout=60,
-    )
-    assert (process.returncode, process.stderr) == (0, b"")
+def test_a_closed_stdout_ends_with_one_error_line_and_exit_2():
+    # With descriptor 1 closed, the interpreter has no sys.stdout, and
+    # print would drop the result: the command is refused before it runs.
+    # With stderr closed too, the exit code alone tells, and no traceback.
+    for redirect, err in [(">&-", b"error: cannot write output: stdout is closed\n"),
+                          (">&- 2>&-", b"")]:
+        process = subprocess.run(
+            ["sh", "-c", f'"$0" -m hardysets eval "{{a}}" {redirect}', sys.executable],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=60,
+        )
+        assert (process.returncode, process.stderr) == (2, err)

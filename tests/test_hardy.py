@@ -247,14 +247,17 @@ def test_quadruples_suite_computes_the_residues_once_per_trial(annihilate_calls,
     assert len(annihilate_calls) == 2 * 10
 
 
-def test_fresh_model_creates_one_node_per_value(construct_calls):
-    # For x1, whose towers the model holds: the atom, vn levels 1-3 and zm
-    # levels 2-3 (zm(1) is vn(1)). For x2, x3 and x4, only wing members: the
-    # atom, vn levels 1-2 and zm level 2. Then the two wings and the sample
-    # space.
-    model = build_model(AtomQuadruple("fresh_n1", "fresh_n2", "fresh_n3", "fresh_n4"), 3)
-    assert len(construct_calls) == 6 + 3 * 4 + 3
-    assert model.triple.size == 16
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_fresh_model_creates_one_node_per_value(construct_calls, depth):
+    # For x1, whose towers the model holds: the atom, vn levels 1..k and zm
+    # levels 2..k (zm(1) is vn(1)). For x2, x3 and x4, only wing members:
+    # the atom, vn levels 1..k-1 and zm levels 2..k-1. Then the two wings
+    # and the sample space: 8k - 3 nodes. At depth 1 the wings are both the
+    # set of the four atoms, which is also the sample space: 6 nodes.
+    labels = (f"fresh{depth}_n{i}" for i in range(1, 5))
+    model = build_model(AtomQuadruple(*labels), depth)
+    assert len(construct_calls) == (6 if depth == 1 else 8 * depth - 3)
+    assert model.triple.size == {1: 4, 2: 8}.get(depth, 4 * depth + 4)
 
 
 @pytest.mark.parametrize("depth", range(1, 7))

@@ -307,16 +307,20 @@ def test_reparse_of_a_live_value_creates_no_node(construct_calls):
 
 
 def test_intern_tables_release_freed_values():
+    def counts():
+        # Atoms are keyed by their str label, set nodes by their member tuple.
+        atoms = sum(type(key) is str for key in hfset._NODES)
+        return atoms, len(hfset._NODES) - atoms
+
     gc.collect()
-    before = len(hfset._ATOMS), len(hfset._SETS)
+    atoms, sets = counts()
     tower = von_neumann(12, atom("fresh_leak_probe"))
     chain = zermelo(300, atom("other_probe"))
     value = unite(tower, chain)
-    assert len(hfset._ATOMS) == before[0] + 2
-    assert len(hfset._SETS) == before[1] + 12 + 300 + 1
+    assert counts() == (atoms + 2, sets + 12 + 300 + 1)
     del tower, chain, value
     gc.collect()
-    assert (len(hfset._ATOMS), len(hfset._SETS)) == before
+    assert counts() == (atoms, sets)
 
 
 def test_deep_values_round_trip():

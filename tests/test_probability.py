@@ -437,6 +437,22 @@ def test_triple_round_trips(clone, weights):
         u._numerators = ()
 
 
+def test_weights_are_built_from_the_numerators(monkeypatch):
+    # The numerators are the one stored measure: uniform_triple makes no
+    # Fraction, and weights are the numerators over the denominator.
+    elements = canonical_elements(10)
+    non_uniform = ProbabilityTriple(elements, [Fraction(i, 55) for i in range(1, 11)])
+    made = []
+    monkeypatch.setattr(probability, "Fraction", lambda *args: made.append(args))
+    uniform = uniform_triple(elements)
+    assert made == []
+    monkeypatch.undo()
+    for t in (uniform, non_uniform):
+        assert t.weights == tuple(Fraction(k, t.denominator) for k in t._numerators)
+    assert uniform.weights == (Fraction(1, 10),) * 10
+    assert non_uniform.weights == tuple(Fraction(i, 55) for i in range(1, 11))
+
+
 def test_all_event_probabilities_table(hardy_triple):
     table = all_event_probabilities(hardy_triple)
     assert len(table) == 65536
