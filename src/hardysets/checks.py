@@ -17,7 +17,7 @@ import numpy as np
 from .hfset import (
     HfSet,
     _canonical,
-    _intern_set,
+    _intern,
     atom,
     empty,
     intersect,
@@ -70,9 +70,11 @@ class CheckOutcome:
     def ok(self, text: str) -> None:
         self.lines.append("ok   " + text)
 
-    def fail(self, text: str) -> None:
+    def fail(self, text: str) -> bool:
+        """Record a failure; true once five are recorded, where a suite may stop."""
         self.passed = False
         self.lines.append("FAIL " + text)
+        return sum(line.startswith("FAIL ") for line in self.lines) >= 5
 
     def expect(self, condition: bool, text: str) -> None:
         if condition:
@@ -249,7 +251,6 @@ def check_quadruples(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     out = CheckOutcome("quadruples")
     rng = random.Random(seed)
     pool = [f"a{i}" for i in range(64)]
-    failures = 0
     for trial in range(trials):
         labels = rng.sample(pool, 4)
         model = build_model(AtomQuadruple(*labels), 3)
@@ -263,12 +264,11 @@ def check_quadruples(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         result = hardy_probability(model)
         p = result.probability
         identity_ok = intersection_identity_check(model, result)
-        if not (result_ok and identity_ok and p == P_DD):
-            failures += 1
-            out.fail(f"trial {trial}: labels {labels} p={p} identity={identity_ok}")
-            if failures >= 5:
-                break
-    if failures == 0:
+        if not (result_ok and identity_ok and p == P_DD) and out.fail(
+            f"trial {trial}: labels {labels} p={p} identity={identity_ok}"
+        ):
+            break
+    if out.passed:
         out.ok(
             f"{trials} random quadruples: |omega|=16, wings disjoint, "
             "joint residue == zm(2,x1), P == 1/16"
@@ -332,7 +332,7 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     """
     out = CheckOutcome("quantum")
     dist = run_double_mzi()
-    out.expect(abs(dist.p("d", "d") - 0.0625) <= TOLERANCE, "p(d,d) == 0.0625")
+    out.expect(abs(dist.p("d", "d") - P_DD) <= TOLERANCE, "p(d,d) == 0.0625")
     out.expect(abs(dist.p_gamma - 0.25) <= TOLERANCE, "p_gamma == 0.25")
     out.expect(abs(dist.total - 1.0) <= TOLERANCE, "outcome total == 1")
 
@@ -357,29 +357,21 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     out = CheckOutcome("algebra")
     rng = random.Random(seed)
     sets = [random_hfset(rng) for _ in range(max(trials, 1000))]
-    failures = 0
 
-    # Each law reads `holds or failed(message)`, so its message is rendered
-    # only when it fails: printing the operands of every passing law would
-    # cost more than checking it.
-    def failed(text: str) -> bool:
-        """Record a failed law; true once five have failed."""
-        nonlocal failures
-        failures += 1
-        out.fail(text)
-        return failures >= 5
-
+    # Each law reads `broken and out.fail(message)`, so its message is
+    # rendered only when it fails: printing the operands of every passing
+    # law would cost more than checking it.
     fresh = atom("zz_fresh")
     for s in sets:
         text = print_set(s)
-        if parse_set(text) != s and failed(f"round trip failed for {text}"):
+        if parse_set(text) != s and out.fail(f"round trip failed for {text}"):
             return out
-        if set_of(s.children) != s and failed(f"canonicalization not idempotent: {text}"):
+        if set_of(s.children) != s and out.fail(f"canonicalization not idempotent: {text}"):
             return out
         for c in s.children:
-            if not member(c, s) and failed(f"child not a member: {print_set(c)} in {text}"):
+            if not member(c, s) and out.fail(f"child not a member: {print_set(c)} in {text}"):
                 return out
-        if member(fresh, s) and failed(f"fresh atom member of {text}"):
+        if member(fresh, s) and out.fail(f"fresh atom member of {text}"):
             return out
 
     for i in range(len(sets) - 1):
@@ -390,31 +382,31 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         u = unite(a, b)
         cap = intersect(a, b)
         universe = unite(u, extra)
-        if u != unite(b, a) and failed(f"union not commutative: {a!r} {b!r}"):
+        if u != unite(b, a) and out.fail(f"union not commutative: {a!r} {b!r}"):
             return out
-        if cap != intersect(b, a) and failed(f"intersection not commutative: {a!r} {b!r}"):
+        if cap != intersect(b, a) and out.fail(f"intersection not commutative: {a!r} {b!r}"):
             return out
         if (unite(a, unite(b, extra)) != universe
-                and failed(f"union not associative: {a!r} {b!r} {extra!r}")):
+                and out.fail(f"union not associative: {a!r} {b!r} {extra!r}")):
             return out
         if (intersect(a, intersect(b, extra)) != intersect(cap, extra)
-                and failed(f"intersection not associative: {a!r} {b!r} {extra!r}")):
+                and out.fail(f"intersection not associative: {a!r} {b!r} {extra!r}")):
             return out
-        if (unite(a, a) != a or intersect(a, a) != a) and failed(f"not idempotent: {a!r}"):
+        if (unite(a, a) != a or intersect(a, a) != a) and out.fail(f"not idempotent: {a!r}"):
             return out
         if (monadic_union(set_of([a, b])) != u
-                and failed(f"munion({{A,B}}) != A∪B for {a!r}, {b!r}")):
+                and out.fail(f"munion({{A,B}}) != A∪B for {a!r}, {b!r}")):
             return out
         comp_a = _difference(universe, a)
         comp_b = _difference(universe, b)
         if (_difference(universe, u) != intersect(comp_a, comp_b)
-                and failed(f"De Morgan (union) failed: {a!r} {b!r} in {universe!r}")):
+                and out.fail(f"De Morgan (union) failed: {a!r} {b!r} in {universe!r}")):
             return out
         if (_difference(universe, cap) != unite(comp_a, comp_b)
-                and failed(f"De Morgan (intersection) failed: {a!r} {b!r} in {universe!r}")):
+                and out.fail(f"De Morgan (intersection) failed: {a!r} {b!r} in {universe!r}")):
             return out
 
-    if failures == 0:
+    if out.passed:
         out.ok(f"{len(sets)} random sets: round trip, canonical idempotence, "
                "membership, boolean laws, munion pairing, De Morgan")
     return out
@@ -423,7 +415,7 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
 def _difference(universe: HfSet, x: HfSet) -> HfSet:
     members = set(x.children)
     # A subsequence of the universe's members is already canonical.
-    return _intern_set(tuple([c for c in universe.children if c not in members]))
+    return _intern(tuple([c for c in universe.children if c not in members]))
 
 
 SUITES = {

@@ -6,11 +6,13 @@ quadruples), on values past the size bounds (``hfset.MAX_PRINT_CHARS``
 printed characters, ``numerals.MAX_LEVEL`` numeral levels,
 ``checks.MAX_TRIALS`` check trials) and when the output cannot be
 written. A failed write of stdout, such as to a pipe whose reader has
-gone or to a full disk, ends with one ``error: cannot write output``
-line on stderr and exit 2, not a traceback; this covers the flush at
-exit too, because :func:`main` flushes stdout before it returns. A
-stdout closed before the start is refused the same way, before the
-command runs.
+gone, to a full disk or of a character its encoding cannot write (``∅``
+or ``∩`` to an ASCII stdout), ends with one ``error: cannot write
+output`` line on stderr and exit 2, not a traceback; this covers the
+flush at exit too, because :func:`main` flushes stdout before it
+returns. A stdout closed before the start is refused the same way,
+before the command runs. Every other usage error is a ``ValueError``
+that :func:`main` turns into one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .hfset import (
     ParseError,
@@ -36,7 +37,7 @@ from .hfset import (
     print_set,
     unite,
 )
-from .numerals import numeral
+from .numerals import numeral, von_neumann, zermelo
 from .probability import SampleSpaceTooLarge, verify_axioms
 from .hardy import (
     AtomQuadruple,
@@ -75,8 +76,8 @@ _FUNCTIONS = {
     "intersect": (2, intersect),
     "munion": (1, monadic_union),
     "card": (1, cardinality),
-    "vn": (2, partial(numeral, "vn")),
-    "zm": (2, partial(numeral, "zm")),
+    "vn": (2, von_neumann),
+    "zm": (2, zermelo),
 }
 
 
@@ -215,7 +216,7 @@ def build_reproduction_report(labels, depth: int) -> dict:
     identity = intersection_identity_check(model, result)
     dist = run_double_mzi()
     p_dd = dist.p("d", "d")
-    agreement = result.probability == P_DD and abs(p_dd - 0.0625) <= TOLERANCE
+    agreement = result.probability == P_DD and abs(p_dd - P_DD) <= TOLERANCE
 
     checks: dict[str, bool] = {}
     checks["probability_consistent"] = result.probability == Fraction(
@@ -292,11 +293,7 @@ def _yn(flag: bool) -> str:
 
 
 def _cmd_reproduce(args) -> int:
-    try:
-        report = build_reproduction_report(args.atoms, args.depth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = build_reproduction_report(args.atoms, args.depth)
     if args.format == "machine":
         print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
@@ -305,11 +302,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        value = evaluate_expression(args.expression)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    value = evaluate_expression(args.expression)
     if isinstance(value, int):
         print(value)
     else:
@@ -344,17 +337,8 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_numerals(args) -> int:
-    base_text = args.base
-    try:
-        if base_text in ("∅", "{}"):
-            base = empty()
-        else:
-            base = atom(base_text)
-        value = numeral(args.system, args.n, base)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(print_set(value))
+    base = empty() if args.base in ("∅", "{}") else atom(args.base)
+    print(print_set(numeral(args.system, args.n, base)))
     return 0
 
 
@@ -443,8 +427,15 @@ def main(argv=None) -> int:
         code = _run(argv)
         # Flushed here, a failed write is caught below, not at exit.
         sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
+        # Before ValueError: an output the stream cannot encode is a
+        # failed write, though UnicodeEncodeError is a ValueError.
         return _write_failed(exc)
+    except ValueError as exc:
+        # A malformed expression, an invalid atom label or quadruple, or a
+        # value past a size bound.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 
@@ -457,14 +448,15 @@ def _run(argv) -> int:
     return args.func(args)
 
 
-def _write_failed(exc: OSError) -> int:
+def _write_failed(exc: OSError | UnicodeEncodeError) -> int:
     """Report a failed write of the output in one line, and return exit code 2.
 
     What stdout still buffers goes to the null device, so the flush at
     interpreter exit cannot fail again.
     """
+    reason = getattr(exc, "strerror", None) or exc  # UnicodeEncodeError has no strerror
     try:
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        print(f"error: cannot write output: {reason}", file=sys.stderr)
     except OSError:
         pass
     try:

@@ -6,16 +6,18 @@ stored in a fixed total order, so every value has exactly one textual
 rendering.
 
 Every value is interned (hash-consing): the module keeps one node per
-distinct value, in one weak table keyed by the atom label (a ``str``)
-or by the canonical tuple of a set's members (a ``tuple``). Two equal
-values are therefore the same object, so equality and hashing are
-object identity, and building a node costs O(members) however deep the values below it are. Nodes
-come only from :func:`atom`, :func:`empty`, :func:`set_of`, the set
-algebra and the parser; ``HfSet(...)`` is not a public constructor. A
-node lives as long as something refers to it, and its table entry goes
-with it. The numeral towers, whose level tuples are canonical by
-construction, go to the table without a sort, and the von Neumann loop
-returns every level it builds.
+distinct value, in one weak table keyed by the atom label (a ``str``) or
+by the canonical tuple of a set's members (a ``tuple``). Two equal
+values are therefore the same object, so equality and hashing are object
+identity, and building a node costs O(members) however deep the values
+below it are. Nodes come only from :func:`atom`, :func:`empty`,
+:func:`set_of`, the set algebra and the parser, and each of them goes
+through one function, ``_intern``, the only caller of ``HfSet(key)``;
+``HfSet(...)`` is not a public constructor. A node lives as long as
+something refers to it, and its table entry goes with it. The numeral
+towers, whose level tuples are canonical by construction, go to the
+table without a sort, and the von Neumann loop returns every level it
+builds.
 
 The canonical order puts atoms before set nodes, compares atoms by
 label, and compares set nodes by cardinality first and then childwise.
@@ -166,33 +168,32 @@ class HfSet:
     object identity. Values are made by :func:`atom`, :func:`empty`,
     :func:`set_of`, the set algebra and :func:`parse_set`; calling
     ``HfSet(...)`` directly would make a second node for a value and is
-    not supported. ``__init__`` runs once per new value and caches the
-    canonical key, the rank and the printed length.
+    not supported. ``__init__`` runs once per new value, called by
+    ``_intern`` with the value's table key: an atom label (a ``str``) or
+    a canonical member tuple. It caches the canonical key, the rank and
+    the printed length.
     """
 
     __slots__ = ("_label", "_children", "_key", "_rank", "_chars", "__weakref__")
 
-    def __init__(
-        self,
-        *,
-        label: str | None = None,
-        children: tuple["HfSet", ...] | None = None,
-    ) -> None:
-        # Only _intern_atom (label=) and _intern_set (children=, deduplicated
-        # and in canonical order) call this.
-        if children is None:
-            if not _IDENT.fullmatch(label):  # type: ignore[arg-type]
+    def __init__(self, key: str | tuple) -> None:
+        # Only _intern calls this, with an atom label or a set's member
+        # tuple, deduplicated and in canonical order.
+        if isinstance(key, str):
+            if not _IDENT.fullmatch(key):
                 raise ValueError(
-                    f"invalid atom label {label!r}: need a letter followed by "
+                    f"invalid atom label {key!r}: need a letter followed by "
                     "letters, digits or underscores"
                 )
-            key: tuple = (0, label)
+            label, children = key, None
+            sort_key: tuple = (0, key)
             rank = 0
-            chars = len(label)  # type: ignore[arg-type]
+            chars = len(key)
         else:
             # One pass over the members gives the flat key (1, n, *member
             # keys), the rank and the printed length: braces, n - 1 commas
             # and the members.
+            label, children = None, key
             n = len(children)
             keys = [1, n]
             rank = 0
@@ -202,7 +203,7 @@ class HfSet:
                 chars += c._chars
                 if c._rank >= rank:
                     rank = c._rank + 1
-            key = _DeepKey(keys) if rank >= _DEEP_RANK else tuple(keys)
+            sort_key = _DeepKey(keys) if rank >= _DEEP_RANK else tuple(keys)
         if chars > MAX_PRINT_CHARS:
             raise ValueTooLarge(
                 f"value too large: it would print {chars} characters, "
@@ -210,7 +211,7 @@ class HfSet:
             )
         self._label = label
         self._children = children
-        self._key = key
+        self._key = sort_key
         self._rank = rank
         self._chars = chars
 
@@ -264,29 +265,16 @@ class _Ref(weakref.ref):
 _NODES: dict[str | tuple, _Ref] = {}
 
 
-def _intern_atom(label: str) -> HfSet:
-    """The atom node of ``label``, made on first use."""
-    ref = _NODES.get(label)
+def _intern(key: str | tuple) -> HfSet:
+    """The node of an atom label or a canonical member tuple, made on first use."""
+    ref = _NODES.get(key)
     if ref is not None:
         node = ref()
         if node is not None:
             return node
-    node = HfSet(label=label)
-    ref = _NODES[label] = _Ref(node, _forget)
-    ref.key = label
-    return node
-
-
-def _intern_set(members: tuple) -> HfSet:
-    """The set node of a canonical member tuple, made on first use."""
-    ref = _NODES.get(members)
-    if ref is not None:
-        node = ref()
-        if node is not None:
-            return node
-    node = HfSet(children=members)
-    ref = _NODES[members] = _Ref(node, _forget)
-    ref.key = members
+    node = HfSet(key)
+    ref = _NODES[key] = _Ref(node, _forget)
+    ref.key = key
     return node
 
 
@@ -302,10 +290,10 @@ def _canonical(members: Iterable[HfSet]) -> HfSet:
     or a parse for timsort; zero or one member needs no sort.
     """
     kids = dict.fromkeys(members)
-    return _intern_set(tuple(sorted(kids, key=_key_of)) if len(kids) > 1 else tuple(kids))
+    return _intern(tuple(sorted(kids, key=_key_of)) if len(kids) > 1 else tuple(kids))
 
 
-_EMPTY = _intern_set(())
+_EMPTY = _intern(())
 
 
 def canonical_key(s: HfSet) -> tuple:
@@ -326,7 +314,7 @@ def atom(label: str) -> HfSet:
     """An atom with the given identifier label."""
     if not isinstance(label, str):
         raise TypeError(f"atom label must be a str, got {type(label).__name__}")
-    return _intern_atom(label)
+    return _intern(label)
 
 
 def set_of(children: Iterable[HfSet]) -> HfSet:
@@ -352,7 +340,7 @@ def _von_neumann_tower(base: HfSet, n: int) -> list[HfSet]:
     """
     levels = [base]
     for _ in range(n):
-        levels.append(_intern_set(tuple(levels)))
+        levels.append(_intern(tuple(levels)))
     return levels
 
 
@@ -364,7 +352,7 @@ def _zermelo_tower(base: HfSet, n: int) -> HfSet:
     """
     current = base
     for _ in range(n):
-        current = _intern_set((current,))
+        current = _intern((current,))
     return current
 
 
@@ -397,7 +385,7 @@ def intersect(a: HfSet, b: HfSet) -> HfSet:
     _check_set(b, "intersect")
     bk = set(b._children)  # type: ignore[arg-type]
     # A subsequence of a's members is already canonical.
-    return _intern_set(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
+    return _intern(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
 
 
 def cardinality(s: HfSet) -> int:
@@ -609,7 +597,7 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
             if state == _START or state == _AFTER:
                 break
             m = _IDENT.match(text, pos)
-            value = _intern_atom(m[0])  # type: ignore[index]
+            value = _intern(m[0])  # type: ignore[index]
             pos = m.end()  # type: ignore[union-attr]
         elif c == "∅":
             if state == _AFTER:
@@ -639,7 +627,6 @@ def _check_value(s: HfSet) -> None:
 
 
 def _check_set(s: HfSet, op: str) -> None:
-    if not isinstance(s, HfSet):
-        raise TypeError(f"expected an HfSet value, got {type(s).__name__}")
+    _check_value(s)
     if s._children is None:
         raise AtomOperand(f"{op} requires a set, got atom '{s._label}'")

@@ -33,9 +33,9 @@ def construct_calls(monkeypatch):
     calls = []
     original = HfSet.__init__
 
-    def counting(self, **fields):
-        calls.append(fields)
-        original(self, **fields)
+    def counting(self, key):
+        calls.append(key)
+        original(self, key)
 
     monkeypatch.setattr(HfSet, "__init__", counting)
     return calls

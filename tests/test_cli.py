@@ -377,3 +377,25 @@ def test_a_closed_stdout_ends_with_one_error_line_and_exit_2():
             timeout=60,
         )
         assert (process.returncode, process.stderr) == (2, err)
+
+
+@pytest.mark.parametrize("argv, character", [
+    (("check", "--suite", "numerals"), r"'\u2229'"),  # ∩ in a check line
+    (("check", "--verbose"), r"'\u2229'"),
+    (("numerals", "--help"), r"'\u2205'"),  # ∅ in the help of --base
+], ids=["check-suite-numerals", "check-verbose", "numerals-help"])
+def test_an_output_the_encoding_cannot_write_ends_with_one_error_line_and_exit_2(
+    argv, character
+):
+    process = subprocess.run(
+        [sys.executable, "-m", "hardysets", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="ascii"),
+        timeout=60,
+    )
+    err = process.stderr.decode()
+    assert process.returncode == 2
+    assert err.startswith(
+        f"error: cannot write output: 'ascii' codec can't encode character {character}"
+    )
+    assert err.count("\n") == 1 and err.endswith("\n")

@@ -1,8 +1,8 @@
-"""Every HfSet node is made by ``HfSet.__init__``, from one of two places.
+"""Every HfSet node is made by ``HfSet.__init__``, from one place.
 
-``HfSet(...)`` is called only in ``hfset._intern_atom`` and
-``hfset._intern_set``, and no module applies ``__new__`` to ``HfSet``. So
-each node enters an intern table, and ``HfSet.__init__`` runs once for it:
+``HfSet(...)`` is called only in ``hfset._intern``, and no module applies
+``__new__`` to ``HfSet``. So each node enters the intern table, and
+``HfSet.__init__`` runs once for it:
 the ``construct_calls`` fixture and the benchmark's ``hfset.construct``
 layer, which count ``__init__`` runs, see every node.
 """
@@ -75,5 +75,5 @@ def test_nodes_are_made_only_by_the_intern_functions():
     assert SRC / "hfset.py" in sources
     found = {path.name: node_constructions(path) for path in sources}
     assert {name: calls for name, calls in found.items() if calls} == {
-        "hfset.py": [("_intern_atom", "HfSet("), ("_intern_set", "HfSet(")]
+        "hfset.py": [("_intern", "HfSet(")]
     }
