@@ -2,7 +2,8 @@
 
 Each suite returns a :class:`CheckOutcome` with human-readable lines;
 failures carry a minimal reproducing input. All suites are
-deterministic given (seed, trials).
+deterministic given (seed, trials); the algebra suite draws its random
+sets in one fixed shape (:func:`random_hfset`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .hfset import (
     HfSet,
     _canonical,
-    _intern,
+    _difference,
     atom,
     empty,
     intersect,
@@ -60,6 +61,13 @@ __all__ = [
 # about half a minute and a few hundred MiB (README, "Resource bounds").
 MAX_TRIALS = 100_000
 
+# Seeded pairs per sampled axiom check: at least this many in the axioms
+# suite, and this many in `reproduce`.
+_AXIOM_UNION_SAMPLES = 10000
+_DRAW_RANK = 5
+_DRAW_BREADTHS = range(6)
+_DRAW_ATOMS = ("a", "b", "c", "d", "e")
+
 
 @dataclass
 class CheckOutcome:
@@ -78,33 +86,27 @@ class CheckOutcome:
 
     def expect(self, condition: bool, text: str) -> None:
         if condition:
-            self.lines.append("ok   " + text)
+            self.ok(text)
         else:
             self.fail(text)
 
 
-def random_hfset(
-    rng: random.Random,
-    max_rank: int = 5,
-    max_breadth: int = 5,
-    atom_pool: tuple = ("a", "b", "c", "d", "e"),
-) -> HfSet:
-    """Random canonical set node; atoms appear only as members.
+def random_hfset(rng: random.Random) -> HfSet:
+    """Random set node of the algebra suite: rank at most 5, at most 5
+    members per set node, atoms ``a`` to ``e``, and only as members.
 
     Members are drawn depth first, in the order a recursive draw would
-    take them, from an explicit stack of the sets still being drawn.
-    A breadth is drawn as ``rng.choice(range(max_breadth + 1))``, which
-    consumes the stream exactly as ``rng.randint(0, max_breadth)`` does.
-    Every member is a node made here, so the set goes to the intern table
-    without :func:`set_of`'s copy and member checks.
+    take them, from an explicit stack of the sets still being drawn. A
+    breadth is drawn as ``rng.choice(range(6))``, which consumes the
+    stream exactly as ``rng.randint(0, 5)`` does. Every member is a node
+    made here, so the set goes to the intern table without :func:`set_of`.
     """
     choice, uniform = rng.choice, rng.random
-    atoms = [atom(label) for label in atom_pool]
+    atoms = [atom(label) for label in _DRAW_ATOMS]
     nothing = empty()
-    breadths = range(max_breadth + 1)
     # One frame per set being drawn: [rank budget of its members,
     # members drawn, members still to draw].
-    stack = [[max_rank - 1, [], choice(breadths)]]
+    stack = [[_DRAW_RANK - 1, [], choice(_DRAW_BREADTHS)]]
     while True:
         frame = stack[-1]
         budget, members, left = frame
@@ -119,7 +121,7 @@ def random_hfset(
             if budget == 0 or uniform() < 0.3:
                 members.append(choice(atoms) if uniform() < 0.7 else nothing)
             else:
-                stack.append([budget - 1, [], choice(breadths)])
+                stack.append([budget - 1, [], choice(_DRAW_BREADTHS)])
 
 
 def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:
@@ -176,12 +178,12 @@ def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     return out
 
 
-def check_axioms(seed: int = 42, trials: int = 10000) -> CheckOutcome:
+def check_axioms(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     """Field and measure axioms on the standard depth-3 sample space."""
     out = CheckOutcome("axioms")
     model = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3)
     t = model.triple
-    pairs = max(trials, 10000)
+    pairs = max(trials, _AXIOM_UNION_SAMPLES)
     report = verify_axioms(t, pairs, seed)
     out.ok("omega is an event")
     out.ok(f"complement closure over {report.events} events")
@@ -282,13 +284,8 @@ def _partition_quadruples() -> list:
     Enumerated as restricted growth strings, giving all 15 collision
     patterns from fully distinct to all equal.
     """
-    quads = []
-    letters = "abcd"
-    for b2 in range(2):
-        for b3 in range(max(0, b2) + 2):
-            for b4 in range(max(b2, b3) + 2):
-                quads.append(tuple(letters[b] for b in (0, b2, b3, b4)))
-    return quads
+    return [tuple("abcd"[b] for b in (0, b2, b3, b4))
+            for b2 in range(2) for b3 in range(b2 + 2) for b4 in range(max(b2, b3) + 2)]
 
 
 def check_distinctness(seed: int = 42, trials: int = 1000) -> CheckOutcome:
@@ -410,12 +407,6 @@ def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         out.ok(f"{len(sets)} random sets: round trip, canonical idempotence, "
                "membership, boolean laws, munion pairing, De Morgan")
     return out
-
-
-def _difference(universe: HfSet, x: HfSet) -> HfSet:
-    members = set(x.children)
-    # A subsequence of the universe's members is already canonical.
-    return _intern(tuple([c for c in universe.children if c not in members]))
 
 
 SUITES = {

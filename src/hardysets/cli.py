@@ -28,6 +28,7 @@ from .hfset import (
     ParseError,
     _IDENT,
     _SPACE,
+    _byte_offset,
     atom,
     cardinality,
     empty,
@@ -47,11 +48,10 @@ from .hardy import (
     intersection_identity_check,
 )
 from .quantum import P_DD, TOLERANCE, run_double_mzi
-from .checks import MAX_TRIALS, SUITES, run_suites
+from .checks import _AXIOM_UNION_SAMPLES, MAX_TRIALS, SUITES, run_suites
 
 __all__ = ["main"]
 
-_AXIOM_UNION_SAMPLES = 10000
 _AXIOM_SEED = 42
 
 _NUMBER = re.compile(r"[0-9]+")
@@ -82,7 +82,7 @@ _FUNCTIONS = {
 
 
 def _error(text: str, pos: int, message: str) -> ExpressionError:
-    return ExpressionError(len(text[:pos].encode("utf-8")), message)
+    return ExpressionError(_byte_offset(text, pos), message)
 
 
 def _read(text: str):
@@ -303,10 +303,7 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_eval(args) -> int:
     value = evaluate_expression(args.expression)
-    if isinstance(value, int):
-        print(value)
-    else:
-        print(print_set(value))
+    print(value if isinstance(value, int) else print_set(value))
     return 0
 
 

@@ -49,7 +49,10 @@ characters over a one-letter atom, is read in O(n^2) tokens.
 
 Atoms are memberless: membership queries against an atom are false, and
 applying set algebra (union, intersection, cardinality, monadic union)
-directly to an atom raises :class:`AtomOperand`.
+directly to an atom raises :class:`AtomOperand`. Intersection and the
+check suites' unchecked ``_difference`` keep a subsequence of the first
+operand's members, canonical as it stands. Parse and ``eval`` errors
+point at the UTF-8 byte offset ``_byte_offset`` gives for a position.
 """
 
 from __future__ import annotations
@@ -383,9 +386,17 @@ def intersect(a: HfSet, b: HfSet) -> HfSet:
     """Binary intersection of two set nodes."""
     _check_set(a, "intersect")
     _check_set(b, "intersect")
+    return _kept_members(a, b, True)
+
+
+def _difference(a: HfSet, b: HfSet) -> HfSet:
+    return _kept_members(a, b, False)
+
+
+def _kept_members(a: HfSet, b: HfSet, keep: bool) -> HfSet:
     bk = set(b._children)  # type: ignore[arg-type]
     # A subsequence of a's members is already canonical.
-    return _intern(tuple([c for c in a._children if c in bk]))  # type: ignore[union-attr]
+    return _intern(tuple([c for c in a._children if (c in bk) is keep]))  # type: ignore[union-attr]
 
 
 def cardinality(s: HfSet) -> int:
@@ -483,7 +494,7 @@ def parse_set(text: str) -> HfSet:
     value, end = parse_set_prefix(text, 0)
     end = _SPACE.match(text, end).end()  # type: ignore[union-attr]
     if end != len(text):
-        raise _error(text, end, "end of input")
+        raise ParseError(_byte_offset(text, end), "end of input")
     return value
 
 
@@ -614,11 +625,11 @@ def parse_set_prefix(text: str, pos: int) -> tuple[HfSet, int]:
             return value, pos
         open_sets[-1].append(value)
         state = _AFTER
-    raise _error(text, pos, _EXPECTED[state])
+    raise ParseError(_byte_offset(text, pos), _EXPECTED[state])
 
 
-def _error(text: str, pos: int, expected: str) -> ParseError:
-    return ParseError(len(text[:pos].encode("utf-8")), expected)
+def _byte_offset(text: str, pos: int) -> int:
+    return len(text[:pos].encode("utf-8"))
 
 
 def _check_value(s: HfSet) -> None:

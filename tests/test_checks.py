@@ -14,6 +14,7 @@ from hardysets import (
     intersect,
     print_set,
     probability,
+    rank,
     set_of,
     unite,
     von_neumann,
@@ -26,28 +27,51 @@ def algebra_sets(seed):
     return [checks.random_hfset(rng) for _ in range(1000)]
 
 
-def recursive_random_hfset(rng, max_rank=5, max_breadth=5, atom_pool=("a", "b", "c", "d", "e")):
+DRAW_ATOMS = ("a", "b", "c", "d", "e")
+
+
+def recursive_random_hfset(rng):
     """The draw as a recursion: each member is drawn whole before the next."""
 
     def node(budget):
         if budget == 0 or rng.random() < 0.3:
             if rng.random() < 0.7:
-                return atom(rng.choice(atom_pool))
+                return atom(rng.choice(DRAW_ATOMS))
             return empty()
-        k = rng.randint(0, max_breadth)
+        k = rng.randint(0, 5)
         return set_of(node(budget - 1) for _ in range(k))
 
-    return set_of(node(max_rank - 1) for _ in range(rng.randint(0, max_breadth)))
+    return set_of(node(4) for _ in range(rng.randint(0, 5)))
 
 
-@pytest.mark.parametrize("shape", [{}, {"max_rank": 1}, {"max_rank": 2, "max_breadth": 1},
-                                   {"max_rank": 7, "max_breadth": 3}])
-@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3])
-def test_random_hfset_draws_as_the_recursion_does(seed, shape):
+# The ids keep the "<seed>-shape0" form of the cases from when the draw
+# took a shape as parameters: shape0 was the default, now the only shape.
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 3], ids=lambda seed: f"{seed}-shape0")
+def test_random_hfset_draws_as_the_recursion_does(seed):
     ours, reference = random.Random(seed), random.Random(seed)
     for _ in range(50):
-        assert checks.random_hfset(ours, **shape) is recursive_random_hfset(reference, **shape)
+        assert checks.random_hfset(ours) is recursive_random_hfset(reference)
     assert ours.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_random_hfset_stays_in_its_shape(seed):
+    # Rank at most 5, at most 5 members per set node, atoms a to e, and
+    # the drawn value itself a set.
+    rng = random.Random(seed)
+    atoms = {atom(label) for label in DRAW_ATOMS}
+    for _ in range(1000):
+        s = checks.random_hfset(rng)
+        assert not s.is_atom and rank(s) <= 5
+        stack = [s]
+        while stack:
+            node = stack.pop()
+            assert len(node.children) <= 5
+            for c in node.children:
+                if c.is_atom:
+                    assert c in atoms
+                else:
+                    stack.append(c)
 
 
 @pytest.mark.parametrize("seed", [7, 42])
