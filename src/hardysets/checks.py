@@ -1,9 +1,10 @@
 """Seeded invariant suites backing the `check` command.
 
-Each suite returns a :class:`CheckOutcome` with human-readable lines;
-failures carry a minimal reproducing input. All suites are
-deterministic given (seed, trials); the algebra suite draws its random
-sets in one fixed shape (:func:`random_hfset`).
+:data:`SUITES` names the suites in the order `check` runs them; the CLI
+holds their seed and trials defaults. Each suite returns a
+:class:`CheckOutcome` of human-readable lines; failures carry a minimal
+reproducing input. All suites are deterministic given (seed, trials);
+the algebra suite draws its random sets in one fixed shape (:func:`random_hfset`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .hfset import (
 from .numerals import von_neumann, zermelo
 from .probability import all_event_masses, event_from_set, mass, verify_axioms
 from .hardy import (
+    _HEADLINE_LABELS,
     AtomQuadruple,
     build_model,
     distinctness_diagnostic,
@@ -51,7 +53,6 @@ __all__ = [
     "check_quadruples",
     "check_quantum",
     "random_hfset",
-    "run_suites",
 ]
 
 
@@ -71,16 +72,18 @@ _DRAW_ATOMS = ("a", "b", "c", "d", "e")
 
 @dataclass
 class CheckOutcome:
-    suite: str
-    passed: bool = True
     lines: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        """A suite passes when none of its lines is a failure."""
+        return not any(line.startswith("FAIL ") for line in self.lines)
 
     def ok(self, text: str) -> None:
         self.lines.append("ok   " + text)
 
     def fail(self, text: str) -> bool:
         """Record a failure; true once five are recorded, where a suite may stop."""
-        self.passed = False
         self.lines.append("FAIL " + text)
         return sum(line.startswith("FAIL ") for line in self.lines) >= 5
 
@@ -124,9 +127,9 @@ def random_hfset(rng: random.Random) -> HfSet:
                 stack.append([budget - 1, [], choice(_DRAW_BREADTHS)])
 
 
-def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_numerals(seed: int, trials: int) -> CheckOutcome:
     """Numeral recurrences, cardinalities and disjointness for both bases."""
-    out = CheckOutcome("numerals")
+    out = CheckOutcome()
     for base_name, base in (("{}", empty()), ("atom q", atom("q"))):
         for n in range(2, 11):
             vn_n, vn_prev = von_neumann(n, base), von_neumann(n - 1, base)
@@ -178,10 +181,10 @@ def check_numerals(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     return out
 
 
-def check_axioms(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_axioms(seed: int, trials: int) -> CheckOutcome:
     """Field and measure axioms on the standard depth-3 sample space."""
-    out = CheckOutcome("axioms")
-    model = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3)
+    out = CheckOutcome()
+    model = build_model(AtomQuadruple(*_HEADLINE_LABELS), 3)
     t = model.triple
     pairs = max(trials, _AXIOM_UNION_SAMPLES)
     report = verify_axioms(t, pairs, seed)
@@ -248,9 +251,9 @@ def check_axioms(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     return out
 
 
-def check_quadruples(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_quadruples(seed: int, trials: int) -> CheckOutcome:
     """Random pairwise-distinct quadruples at depth 3: label independence."""
-    out = CheckOutcome("quadruples")
+    out = CheckOutcome()
     rng = random.Random(seed)
     pool = [f"a{i}" for i in range(64)]
     for trial in range(trials):
@@ -288,7 +291,7 @@ def _partition_quadruples() -> list:
             for b2 in range(2) for b3 in range(b2 + 2) for b4 in range(max(b2, b3) + 2)]
 
 
-def check_distinctness(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_distinctness(seed: int, trials: int) -> CheckOutcome:
     """Collision survey: wing disjointness needs more than the adjacent conditions.
 
     At depth 3 the wings are disjoint exactly when the C-wing atoms
@@ -296,7 +299,7 @@ def check_distinctness(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     collisions (x1=x2 or x3=x4) leave the wings disjoint while diagonal
     collisions break them.
     """
-    out = CheckOutcome("distinctness")
+    out = CheckOutcome()
     for labels in _partition_quadruples():
         report = distinctness_diagnostic(labels, 3)
         expected_disjoint = not (set(labels[:2]) & set(labels[2:]))
@@ -317,7 +320,7 @@ def check_distinctness(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     return out
 
 
-def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_quantum(seed: int, trials: int) -> CheckOutcome:
     """Oracle values, distribution totals, and norm preservation.
 
     The norm sweep is ``quantum.max_norm_drift``: the ``trials`` seeded
@@ -327,7 +330,7 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     that of running ``pipeline_stages`` on each
     ``random_two_particle_state`` in turn.
     """
-    out = CheckOutcome("quantum")
+    out = CheckOutcome()
     dist = run_double_mzi()
     out.expect(abs(dist.p("d", "d") - P_DD) <= TOLERANCE, "p(d,d) == 0.0625")
     out.expect(abs(dist.p_gamma - 0.25) <= TOLERANCE, "p_gamma == 0.25")
@@ -339,7 +342,7 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
         f"norm drift <= 1e-12 across stages for {trials} random states (worst {worst:.2e})",
     )
 
-    model = build_model(AtomQuadruple("x1", "x2", "x3", "x4"), 3)
+    model = build_model(AtomQuadruple(*_HEADLINE_LABELS), 3)
     p_classical = hardy_probability(model).probability
     out.expect(p_classical == P_DD, "exact model probability == 1/16")
     out.expect(
@@ -349,9 +352,9 @@ def check_quantum(seed: int = 42, trials: int = 1000) -> CheckOutcome:
     return out
 
 
-def check_algebra(seed: int = 42, trials: int = 1000) -> CheckOutcome:
+def check_algebra(seed: int, trials: int) -> CheckOutcome:
     """Round-trip and boolean-algebra laws on seeded random sets."""
-    out = CheckOutcome("algebra")
+    out = CheckOutcome()
     rng = random.Random(seed)
     sets = [random_hfset(rng) for _ in range(max(trials, 1000))]
 
@@ -418,13 +421,3 @@ SUITES = {
     "algebra": check_algebra,
 }
 
-
-def run_suites(names=None, seed: int = 42, trials: int = 1000) -> list:
-    """Run the named suites (default all) and return their outcomes."""
-    selected = list(SUITES) if names is None else list(names)
-    outcomes = []
-    for name in selected:
-        if name not in SUITES:
-            raise KeyError(f"unknown suite {name!r}: expected one of {sorted(SUITES)}")
-        outcomes.append(SUITES[name](seed=seed, trials=trials))
-    return outcomes

@@ -41,6 +41,7 @@ from .hfset import (
 from .numerals import numeral, von_neumann, zermelo
 from .probability import SampleSpaceTooLarge, verify_axioms
 from .hardy import (
+    _HEADLINE_LABELS,
     AtomQuadruple,
     build_model,
     field_membership_report,
@@ -48,7 +49,7 @@ from .hardy import (
     intersection_identity_check,
 )
 from .quantum import P_DD, TOLERANCE, run_double_mzi
-from .checks import _AXIOM_UNION_SAMPLES, MAX_TRIALS, SUITES, run_suites
+from .checks import _AXIOM_UNION_SAMPLES, MAX_TRIALS, SUITES
 
 __all__ = ["main"]
 
@@ -253,34 +254,32 @@ def build_reproduction_report(labels, depth: int) -> dict:
     }
 
 
-def _print_report_text(report: dict, out) -> None:
-    print(f"atoms: {', '.join(report['atoms'])}", file=out)
-    print(f"depth: {report['depth']}", file=out)
-    print(f"omega size: {report['omega_size']}", file=out)
+def _print_report_text(report: dict) -> None:
+    print(f"atoms: {', '.join(report['atoms'])}")
+    print(f"depth: {report['depth']}")
+    print(f"omega size: {report['omega_size']}")
     log2 = report["field_size_log2"]
-    print(f"event field size: 2^{log2} = {1 << log2}", file=out)
-    print(f"wings disjoint: {_yn(report['c_d_disjoint'])}", file=out)
+    print(f"event field size: 2^{log2} = {1 << log2}")
+    print(f"wings disjoint: {_yn(report['c_d_disjoint'])}")
     if report["axiom_report"] is not None:
         ar = report["axiom_report"]
         print(
             f"axioms: {'PASS' if ar['passed'] else 'FAIL'} "
             f"(complement closure {ar['complement_closure']['checked_count']} events, "
             f"union closure {ar['union_closure']['checked_count']} samples, "
-            f"seed {ar['union_closure']['seed']})",
-            file=out,
-        )
+            f"seed {ar['union_closure']['seed']})")
     else:
-        print(f"axioms: {report['axiom_note']}", file=out)
-    print(f"annihilated hidden_a: {report['annihilated_a']}", file=out)
-    print(f"annihilated hidden_b: {report['annihilated_b']}", file=out)
-    print(f"joint set: {report['joint_set']}", file=out)
-    print(f"probability: {report['probability']}", file=out)
-    print(f"quantum p_gamma: {report['quantum']['p_gamma']:.12g}", file=out)
-    print(f"quantum p_dd: {report['quantum']['p_dd']:.12g}", file=out)
-    print(f"agreement with quantum oracle: {_yn(report['agreement'])}", file=out)
+        print(f"axioms: {report['axiom_note']}")
+    print(f"annihilated hidden_a: {report['annihilated_a']}")
+    print(f"annihilated hidden_b: {report['annihilated_b']}")
+    print(f"joint set: {report['joint_set']}")
+    print(f"probability: {report['probability']}")
+    print(f"quantum p_gamma: {report['quantum']['p_gamma']:.12g}")
+    print(f"quantum p_dd: {report['quantum']['p_dd']:.12g}")
+    print(f"agreement with quantum oracle: {_yn(report['agreement'])}")
     for name, ok in report["checks"].items():
-        print(f"check {name}: {'PASS' if ok else 'FAIL'}", file=out)
-    print(f"result: {'PASS' if report['passed'] else 'FAIL'}", file=out)
+        print(f"check {name}: {'PASS' if ok else 'FAIL'}")
+    print(f"result: {'PASS' if report['passed'] else 'FAIL'}")
 
 
 def _yn(flag: bool) -> str:
@@ -297,7 +296,7 @@ def _cmd_reproduce(args) -> int:
     if args.format == "machine":
         print(json.dumps(report, indent=2, ensure_ascii=False))
     else:
-        _print_report_text(report, sys.stdout)
+        _print_report_text(report)
     return 0 if report["passed"] else 1
 
 
@@ -308,16 +307,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = [args.suite] if args.suite else None
-    outcomes = run_suites(names, seed=args.seed, trials=args.trials)
     detail = args.verbose or args.suite is not None
     all_passed = True
-    for outcome in outcomes:
-        print(f"suite {outcome.suite}: {'PASS' if outcome.passed else 'FAIL'}")
-        if detail or not outcome.passed:
+    for name in [args.suite] if args.suite else SUITES:
+        outcome = SUITES[name](seed=args.seed, trials=args.trials)
+        passed = outcome.passed
+        print(f"suite {name}: {'PASS' if passed else 'FAIL'}")
+        if detail or not passed:
             for line in outcome.lines:
                 print(f"  {line}")
-        all_passed = all_passed and outcome.passed
+        all_passed = all_passed and passed
     print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 
@@ -381,8 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", help="build the model and run every check")
-    p.add_argument("--atoms", type=_atom_list, default=["x1", "x2", "x3", "x4"],
-                   help="four comma-separated atom labels (default x1,x2,x3,x4)")
+    p.add_argument("--atoms", type=_atom_list, default=_HEADLINE_LABELS,
+                   help="four comma-separated atom labels "
+                   f"(default {','.join(_HEADLINE_LABELS)})")
     p.add_argument("--depth", type=_int_in("depth", 1), default=3,
                    help="numeral depth for the wings (default 3)")
     p.add_argument("--format", choices=("text", "machine"), default="text")

@@ -32,7 +32,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .hfset import HfSet, _von_neumann_tower, atom, intersect, monadic_union, set_of, unite
+from .hfset import (
+    HfSet, _canonical, _von_neumann_tower, _zermelo_tower, atom, intersect, monadic_union, unite,
+)
 from .numerals import von_neumann, zermelo
 from .probability import (
     NotAnEvent,
@@ -61,6 +63,9 @@ __all__ = [
 # extra ones full disjointness actually needs.
 _ADJACENT_PAIRS = ((1, 2), (2, 3), (3, 4), (4, 1))
 _DIAGONAL_PAIRS = ((1, 3), (2, 4))
+
+# The quadruple of the headline P = 1/16, in reproduce and the check suites.
+_HEADLINE_LABELS = ("x1", "x2", "x3", "x4")
 
 
 class NonDistinctAtoms(ValueError):
@@ -156,15 +161,16 @@ def _wings(labels: Sequence[str], depth: int) -> tuple[HfSet, HfSet, HfSet, HfSe
     them; their checks refuse a depth past ``numerals.MAX_LEVEL`` before
     any other tower is built. Of the other six towers the wings need only
     the members: levels 0..depth-1 of a von Neumann tower, which its loop
-    returns, and level depth-1 of a Zermelo tower.
+    returns, and level depth-1 of a Zermelo tower. Every member is a node
+    made here, so each wing goes to the intern table without ``set_of``.
     """
     a1, a2, a3, a4 = (atom(label) for label in labels)
     vn1, zm1 = von_neumann(depth, a1), zermelo(depth, a1)
     # The members of vn(depth) and of zm(depth) over x2, x3 and x4.
     vn2, vn3, vn4 = (_von_neumann_tower(a, depth - 1) for a in (a2, a3, a4))
-    zm2, zm3, zm4 = (zermelo(depth - 1, a) for a in (a2, a3, a4))
-    c_set = set_of([*vn1.children, *vn2, zm3, zm4])
-    d_set = set_of([*vn4, *vn3, zm2, *zm1.children])
+    zm2, zm3, zm4 = (_zermelo_tower(a, depth - 1) for a in (a2, a3, a4))
+    c_set = _canonical([*vn1.children, *vn2, zm3, zm4])
+    d_set = _canonical([*vn4, *vn3, zm2, *zm1.children])
     return c_set, d_set, vn1, zm1
 
 

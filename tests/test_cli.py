@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hardysets import cli
-from hardysets.checks import MAX_TRIALS
+from hardysets.checks import MAX_TRIALS, SUITES
 from hardysets.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -312,7 +312,8 @@ def test_check_bad_seed_or_trials_is_usage_error(capsys, argv, message):
 
 
 def test_trials_past_the_bound_are_refused_before_any_suite_runs(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: pytest.fail("a suite ran"))
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, lambda **kwargs: pytest.fail("a suite ran"))
     code, out, err = run(capsys, "check", "--trials", str(MAX_TRIALS + 1))
     assert code == 2
     assert out == ""

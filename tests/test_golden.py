@@ -1,4 +1,4 @@
-"""Golden outputs: the reproduce reports and the axioms and quantum checks, pinned exactly.
+"""Golden outputs: the reproduce reports and the check suites, pinned exactly.
 
 The files under ``golden/`` are the stdout of the commands named in
 each test. Every key of a machine report must match exactly, except the
@@ -52,3 +52,12 @@ def test_check_quantum_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "check-quantum-seed42-trials1000.txt").read_text()
+
+
+# With no flags but --verbose: pins the suite order and names, every check
+# line, and the --seed and --trials defaults.
+def test_check_verbose_defaults_golden(capsys):
+    code = main(["check", "--verbose"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / "check-verbose-defaults.txt").read_text()
