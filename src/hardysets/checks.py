@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from itertools import compress, count
 from operator import add
 
-import numpy as np
-
 from .hfset import (
     HfSet,
     _canonical,
@@ -323,12 +321,12 @@ def check_distinctness(seed: int, trials: int) -> CheckOutcome:
 def check_quantum(seed: int, trials: int) -> CheckOutcome:
     """Oracle values, distribution totals, and norm preservation.
 
-    The norm sweep is ``quantum.max_norm_drift``: the ``trials`` seeded
-    random states are drawn and pushed through the five stage kernels as
-    arrays of ``quantum.DRIFT_CHUNK`` (1024) states at a time, so memory
-    does not grow with ``trials``. Its worst drift is bit-identical to
-    that of running ``pipeline_stages`` on each
-    ``random_two_particle_state`` in turn.
+    The norm sweep is ``quantum.max_norm_drift``: the ``trials`` random
+    states are drawn from ``random.Random(seed)`` and pushed through the
+    five stage kernels as arrays of ``quantum.DRIFT_CHUNK`` (1024) states
+    at a time, so memory does not grow with ``trials``, and this module
+    needs no numpy. Its worst drift is bit-identical to that of running
+    ``pipeline_stages`` on each ``random_two_particle_state`` in turn.
     """
     out = CheckOutcome()
     dist = run_double_mzi()
@@ -336,7 +334,7 @@ def check_quantum(seed: int, trials: int) -> CheckOutcome:
     out.expect(abs(dist.p_gamma - 0.25) <= TOLERANCE, "p_gamma == 0.25")
     out.expect(abs(dist.total - 1.0) <= TOLERANCE, "outcome total == 1")
 
-    worst = max_norm_drift(DEFAULT_CONVENTION, np.random.default_rng(seed), trials)
+    worst = max_norm_drift(DEFAULT_CONVENTION, random.Random(seed), trials)
     out.expect(
         worst <= TOLERANCE,
         f"norm drift <= 1e-12 across stages for {trials} random states (worst {worst:.2e})",

@@ -16,12 +16,15 @@ The stage arithmetic is written once, as kernels that update amplitude
 arrays of shape (17, n) in place: one row per basis label, one column per
 state, so each array operation runs over n states at a time. The
 one-state functions wrap them with n = 1, and ``max_norm_drift`` runs
-them over many random states at once.
+them over many random states at once. Random states come from the
+stdlib ``random.Random`` stream, so the oracle never loads
+``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Mapping
@@ -128,15 +131,20 @@ class QuantumState:
         return {label: float(abs(self._amps[i]) ** 2) for label, i in _INDEX.items()}
 
 
-def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_amplitudes(rng: random.Random, n: int) -> np.ndarray:
     """n random normalized states as the columns of a (17, n) array.
 
-    Column i holds the draws and the arithmetic of the i-th of n successive
-    ``random_two_particle_state`` calls: one ``standard_normal((n, 2, 16))``
-    yields the same numbers as n pairs of ``standard_normal(16)``, and the
-    norm repeats ``np.linalg.norm``'s dot products state by state.
+    Each state takes 32 successive 32-bit words of ``rng``, the real parts
+    of its 16 pair amplitudes and then the imaginary parts, and maps each
+    word w to w * 2**-31 - 1, which is exact and lies in [-1, 1). So each
+    state is uniform in a cube and then normalized: not uniform on the
+    unit sphere, but with full support, which is all a norm check needs.
+    ``rng.randbytes(128 * n)`` holds the words of n successive one-state
+    draws, least significant byte first, and the norm repeats
+    ``np.linalg.norm``'s dot products state by state.
     """
-    draws = rng.standard_normal((n, 2, len(PAIR_LABELS)))
+    words = np.frombuffer(rng.randbytes(128 * n), dtype="<u4")
+    draws = words.reshape(n, 2, len(PAIR_LABELS)) * 2.0**-31 - 1.0
     vec = draws[:, 0] + 1j * draws[:, 1]
     re, im = vec.real, vec.imag
     vec /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
@@ -145,8 +153,13 @@ def _random_amplitudes(rng: np.random.Generator, n: int) -> np.ndarray:
     return amps
 
 
-def random_two_particle_state(rng: np.random.Generator) -> QuantumState:
-    """Random normalized state over the 16 arm pairs; the gamma record starts empty."""
+def random_two_particle_state(rng: random.Random) -> QuantumState:
+    """Random normalized state over the 16 arm pairs; the gamma record starts empty.
+
+    It takes 32 words of ``rng`` (see ``_random_amplitudes``); the state is
+    not uniform on the unit sphere, but every unit vector can be drawn
+    arbitrarily closely.
+    """
     return QuantumState(_random_amplitudes(rng, 1)[:, 0])
 
 
@@ -276,14 +289,15 @@ def pipeline_stages(convention: BeamSplitterConvention) -> Iterable:
 
 
 def max_norm_drift(
-    convention: BeamSplitterConvention, rng: np.random.Generator, trials: int
+    convention: BeamSplitterConvention, rng: random.Random, trials: int
 ) -> float:
     """Worst |norm - 1| after each stage, over ``trials`` random states.
 
     The states are those of ``trials`` successive
-    ``random_two_particle_state(rng)`` calls, and the result equals the
-    worst drift of ``pipeline_stages`` applied to them one at a time, bit
-    for bit. They are drawn and run through the stage kernels
+    ``random_two_particle_state(rng)`` calls: normalized draws from a cube,
+    which is enough to test that each stage keeps the norm. The result
+    equals the worst drift of ``pipeline_stages`` applied to them one at a
+    time, bit for bit. They are drawn and run through the stage kernels
     ``DRIFT_CHUNK`` states at a time.
     """
     worst = 0.0

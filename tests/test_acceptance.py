@@ -250,10 +250,9 @@ def test_criterion_6_quantum_oracle():
         and abs(dist.p_gamma - 0.25) <= TOL
         and abs(dist.total - 1.0) <= TOL
     )
-    import numpy as np
     from hardysets.quantum import DEFAULT_CONVENTION, pipeline_stages, random_two_particle_state
 
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     stages = pipeline_stages(DEFAULT_CONVENTION)
     worst = 0.0
     for _ in range(1000):

@@ -14,6 +14,7 @@ from hardysets import (
     intersect,
     print_set,
     probability,
+    quantum,
     rank,
     set_of,
     unite,
@@ -269,3 +270,21 @@ def test_check_outcome_fail_asks_to_stop_from_the_fifth_failure():
     assert [out.fail(f"law {i}") for i in range(1, 7)] == [False] * 4 + [True] * 2
     assert not out.passed
     assert out.lines[1:] == [f"FAIL law {i}" for i in range(1, 7)]
+
+
+def test_quantum_drift_line_fails_when_annihilation_loses_amplitude(monkeypatch):
+    # The sweep's annihilation kernel drops the (u, u) amplitude instead of
+    # moving it to gamma. The headline values come from the real oracle, run
+    # before the patch, so only the drift line can fail.
+    dist = quantum.run_double_mzi()
+    monkeypatch.setattr(checks, "run_double_mzi", lambda: dist)
+
+    def lossy(amps):
+        amps[quantum._UU] = 0.0
+
+    monkeypatch.setattr(quantum, "_annihilate", lossy)
+    out = checks.check_quantum(seed=42, trials=100)
+    failed = [line for line in out.lines if line.startswith("FAIL ")]
+    assert len(failed) == 1
+    assert failed[0].startswith(
+        "FAIL norm drift <= 1e-12 across stages for 100 random states (worst ")

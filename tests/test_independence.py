@@ -47,6 +47,12 @@ def test_set_engine_imports_neither_numpy_nor_the_oracle(module):
         assert parts[0] != "numpy" and "quantum" not in parts, name
 
 
+def test_checks_imports_no_numpy():
+    # The suites reach numpy only through the oracle's functions.
+    for name in imported_names(ROOT / "src" / "hardysets" / "checks.py"):
+        assert name.lstrip(".").split(".")[0] != "numpy", name
+
+
 def test_expansion_oracle_imports_nothing_from_the_package():
     for name in imported_names(ROOT / "tests" / "expansion_oracle.py"):
         assert not name.startswith(".") and name.split(".")[0] != "hardysets", name

@@ -1,7 +1,8 @@
 """The package surface: every public name once, each loaded on first use.
 
 Only the quantum oracle needs numpy, so the set engine must import
-without it; the subprocess tests check that in fresh interpreters.
+without it, and no command needs ``numpy.random``; the subprocess tests
+check that in fresh interpreters.
 """
 
 import importlib
@@ -49,6 +50,18 @@ def test_reading_an_oracle_name_loads_numpy():
         "print('numpy' in sys.modules)\n"
     )
     assert fresh(code) == "False\nTrue\n"
+
+
+def test_check_of_every_suite_loads_no_numpy_random():
+    # The quantum suite draws its states from the stdlib generator, so
+    # numpy.random and the secrets module it imports stay unloaded.
+    code = (
+        "import sys\n"
+        "from hardysets.cli import main\n"
+        "code = main(['check', '--trials', '10'])\n"
+        "print(code, *(m in sys.modules for m in ('numpy', 'numpy.random', 'secrets')))\n"
+    )
+    assert fresh(code).splitlines()[-1] == "0 True False False"
 
 
 def test_package_import_loads_no_module():

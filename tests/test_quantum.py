@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -125,7 +126,7 @@ def test_annihilation_of_equal_superposition():
 
 
 def test_norm_preserved_across_stages_random_states():
-    rng = np.random.default_rng(42)
+    rng = random.Random(42)
     stages = pipeline_stages(DEFAULT_CONVENTION)
     for _ in range(1000):
         state = random_two_particle_state(rng)
@@ -152,10 +153,13 @@ def test_amplitude_chase_matches_hand_value():
 
 
 def _loop_random_state(rng):
-    """A random state drawn and normalized one vector at a time: the reference draw."""
-    re = rng.standard_normal(16)
-    im = rng.standard_normal(16)
-    vec = re + 1j * im
+    """The reference draw: 32 words, mapped to [-1, 1) and normalized as one vector.
+
+    Taking the words one ``getrandbits(32)`` call at a time pins the order
+    in which the bulk draw reads the stream's bytes.
+    """
+    parts = np.array([rng.getrandbits(32) * 2.0**-31 - 1.0 for _ in range(32)])
+    vec = parts[:16] + 1j * parts[16:]
     vec /= np.linalg.norm(vec)
     return np.concatenate([vec, [0.0]])
 
@@ -182,10 +186,10 @@ def _loop_beam_splitter(amps, particle, stage, m):
 # The batch and one-state paths share the kernels; both must match the loop.
 @pytest.mark.parametrize("convention", [DEFAULT_CONVENTION, PHASE, SKEW])
 def test_splitter_kernel_matches_scalar_loop_bit_for_bit(convention):
-    rng, one_rng = np.random.default_rng(3), np.random.default_rng(3)
+    rng, one_rng = random.Random(3), random.Random(3)
     expected = [_loop_random_state(rng) for _ in range(9)]
     one = [random_two_particle_state(one_rng)._amps for _ in range(9)]
-    batch = quantum._random_amplitudes(np.random.default_rng(3), 9)
+    batch = quantum._random_amplitudes(random.Random(3), 9)
     for i, want in enumerate(expected):
         assert batch[:, i].tobytes() == one[i].tobytes() == want.tobytes()
     for particle, slot, stage in (
@@ -201,7 +205,7 @@ def test_splitter_kernel_matches_scalar_loop_bit_for_bit(convention):
 
 def _per_state_worst(convention, seed, trials):
     """Entry t - 1: worst drift of the per-state loop over its first t states."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     stages = pipeline_stages(convention)
     worst, out = 0.0, []
     for _ in range(trials):
@@ -219,15 +223,23 @@ def test_max_norm_drift_matches_per_state_loop(convention, seed):
     counts = (1, DRIFT_CHUNK - 1, DRIFT_CHUNK, DRIFT_CHUNK + 1, DRIFT_CHUNK * 5 // 2)
     per_state = _per_state_worst(convention, seed, max(counts))
     for trials in counts:
-        drift = max_norm_drift(convention, np.random.default_rng(seed), trials)
+        drift = max_norm_drift(convention, random.Random(seed), trials)
         assert drift.hex() == per_state[trials - 1].hex(), trials
+
+
+def test_max_norm_drift_sees_a_matrix_that_is_not_unitary():
+    # The constructor refuses such a matrix, so it is set after the check.
+    convention = BeamSplitterConvention(np.eye(2))
+    assert max_norm_drift(convention, random.Random(5), 10) <= TOL
+    convention.matrix = np.diag([1.0, 1.0 + 1e-9])
+    assert max_norm_drift(convention, random.Random(5), 10) > TOL
 
 
 def test_max_norm_drift_memory_does_not_grow_with_trials():
     def peak(trials):
         tracemalloc.start()
         try:
-            max_norm_drift(DEFAULT_CONVENTION, np.random.default_rng(1), trials)
+            max_norm_drift(DEFAULT_CONVENTION, random.Random(1), trials)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
