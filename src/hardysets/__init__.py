@@ -66,10 +66,7 @@ _PUBLIC = {
         "intersection_identity_check",
     ),
     "quantum": (
-        "BeamSplitterConvention",
-        "DEFAULT_CONVENTION",
         "GAMMA",
-        "NonUnitaryConvention",
         "OutcomeDistribution",
         "QuantumState",
         "apply_annihilation",

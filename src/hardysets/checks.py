@@ -38,7 +38,7 @@ from .hardy import (
     hardy_probability,
     intersection_identity_check,
 )
-from .quantum import DEFAULT_CONVENTION, P_DD, TOLERANCE, max_norm_drift, run_double_mzi
+from .quantum import P_DD, TOLERANCE, max_norm_drift, run_double_mzi
 
 __all__ = [
     "MAX_TRIALS",
@@ -321,6 +321,7 @@ def check_distinctness(seed: int, trials: int) -> CheckOutcome:
 def check_quantum(seed: int, trials: int) -> CheckOutcome:
     """Oracle values, distribution totals, and norm preservation.
 
+    Every splitter is the oracle's one, Hardy's real balanced splitter.
     The norm sweep is ``quantum.max_norm_drift``: the ``trials`` random
     states are drawn from ``random.Random(seed)`` and pushed through the
     five stage kernels as arrays of ``quantum.DRIFT_CHUNK`` (1024) states
@@ -334,7 +335,7 @@ def check_quantum(seed: int, trials: int) -> CheckOutcome:
     out.expect(abs(dist.p_gamma - 0.25) <= TOLERANCE, "p_gamma == 0.25")
     out.expect(abs(dist.total - 1.0) <= TOLERANCE, "outcome total == 1")
 
-    worst = max_norm_drift(DEFAULT_CONVENTION, random.Random(seed), trials)
+    worst = max_norm_drift(random.Random(seed), trials)
     out.expect(
         worst <= TOLERANCE,
         f"norm drift <= 1e-12 across stages for {trials} random states (worst {worst:.2e})",

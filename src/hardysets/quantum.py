@@ -3,13 +3,14 @@
 Two particles each traverse a balanced two-splitter interferometer whose
 inner arms overlap; if both occupy the overlapping arm pair (u, u) they
 annihilate into a photon record (the gamma channel). Each particle then
-meets its second splitter and lands on detector arms (c, d). With the
-real balanced splitter convention the double dark-detector outcome
-(d, d) has probability exactly 1/16 and the photon record 1/4, which is
-the quantum value the exact set-theoretic model must agree with.
+meets its second splitter and lands on detector arms (c, d). Every
+splitter is Hardy's real balanced one, and with it the double
+dark-detector outcome (d, d) has probability exactly 1/16 and the photon
+record 1/4, which is the quantum value the exact set-theoretic model
+must agree with.
 
-All amplitudes are complex floats. With the default convention they lie
-in Q(sqrt 2) (1/sqrt 2 after one splitter) and every probability is a
+All amplitudes are complex floats. From a basis state they lie in
+Q(sqrt 2) (1/sqrt 2 after one splitter) and every probability is a
 dyadic rational, so tolerances of 1e-12 are slack.
 
 The stage arithmetic is written once, as kernels that update amplitude
@@ -34,10 +35,7 @@ import numpy as np
 __all__ = [
     "ARMS",
     "BASIS",
-    "DEFAULT_CONVENTION",
     "GAMMA",
-    "BeamSplitterConvention",
-    "NonUnitaryConvention",
     "OutcomeDistribution",
     "P_DD",
     "QuantumState",
@@ -61,38 +59,15 @@ _PARTICLES = ("electron", "positron")
 # Slack for every float comparison, here and wherever the oracle's values
 # are checked against exact ones.
 TOLERANCE = 1e-12
-# The exact p(d, d) of the default convention, which the set model's
-# depth-3 probability must equal.
+# The exact p(d, d) of the experiment, which the set model's depth-3
+# probability must equal.
 P_DD = Fraction(1, 16)
 # Random states ``max_norm_drift`` draws and runs at a time, so its
 # memory stays the same whatever the number of trials.
 DRIFT_CHUNK = 1024
-
-
-class NonUnitaryConvention(ValueError):
-    """The supplied 2x2 splitter matrix is not unitary."""
-
-
-class BeamSplitterConvention:
-    """A 2x2 unitary; rows are output modes, columns input modes."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix) -> None:
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"splitter matrix must be 2x2, got shape {m.shape}")
-        # A NaN or infinite entry fails the test too.
-        if not (np.isfinite(m).all() and np.max(np.abs(m @ m.conj().T - np.eye(2))) <= TOLERANCE):
-            raise NonUnitaryConvention("splitter matrix is not unitary within 1e-12")
-        m.setflags(write=False)
-        self.matrix = m
-
-
-# u -> (c + d)/sqrt(2), v -> (c - d)/sqrt(2): the real balanced convention.
-DEFAULT_CONVENTION = BeamSplitterConvention(
-    np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-)
+# Every splitter maps u -> (c + d)/sqrt(2) and v -> (c - d)/sqrt(2):
+# Hardy's real balanced splitter.
+_SPLIT = 1.0 / math.sqrt(2.0)
 
 
 class QuantumState:
@@ -169,23 +144,21 @@ def _particle_slot(particle: str) -> int:
     return _PARTICLES.index(particle)
 
 
-def _mix(matrix: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``out[i] = matrix[i, 0] * a[0] + matrix[i, 1] * a[1]`` for ``a`` of shape (2, 4, n).
+def _mix(a: np.ndarray) -> np.ndarray:
+    """``((a[0] + a[1]) / sqrt 2, (a[0] - a[1]) / sqrt 2)`` for ``a`` of shape (2, 4, n).
 
-    numpy's SIMD loop for complex array products may fuse a multiply and
-    an add, so the products are taken in real arithmetic. Each entry is
-    then rounded as numpy's scalar complex arithmetic rounds it, whatever
-    the number of states.
+    Each input is scaled by its matrix entry, +-``_SPLIT``, before the
+    sum, so each entry is rounded as numpy's scalar complex arithmetic
+    rounds the splitter matrix times one state, signed zeros included,
+    whatever the number of states. Scaling the sum instead changes the
+    last bit of some outcomes, and subtracting the scaled ``a[1]`` the
+    sign of some zeros.
     """
-    x, y = matrix[:, 0, None, None], matrix[:, 1, None, None]
-    a0, a1 = a[0], a[1]
-    out = np.empty((2,) + a0.shape, dtype=complex)
-    out.real = (x.real * a0.real - x.imag * a0.imag) + (y.real * a1.real - y.imag * a1.imag)
-    out.imag = (x.real * a0.imag + x.imag * a0.real) + (y.real * a1.imag + y.imag * a1.real)
-    return out
+    p = a[0] * _SPLIT
+    return np.stack((p + a[1] * _SPLIT, p + a[1] * -_SPLIT))
 
 
-def _split(amps: np.ndarray, matrix: np.ndarray, slot: int, stage: int) -> None:
+def _split(amps: np.ndarray, slot: int, stage: int) -> None:
     """The splitter kernel: ``apply_beam_splitter`` on every column of ``amps``, in place.
 
     The 16 pair amplitudes, in ``PAIR_LABELS`` order, form a 4x4 grid
@@ -195,7 +168,7 @@ def _split(amps: np.ndarray, matrix: np.ndarray, slot: int, stage: int) -> None:
     """
     grid = amps[: len(PAIR_LABELS)].reshape(len(ARMS), len(ARMS), -1)
     own = grid if slot == 0 else grid.swapaxes(0, 1)
-    mixed = _mix(matrix, own[:2])
+    mixed = _mix(own[:2])
     if stage == 1:
         own[:2] = mixed
     else:
@@ -209,16 +182,11 @@ def _annihilate(amps: np.ndarray) -> None:
     amps[_UU] = 0.0
 
 
-def apply_beam_splitter(
-    state: QuantumState,
-    particle: str,
-    stage: int,
-    convention: BeamSplitterConvention,
-) -> QuantumState:
+def apply_beam_splitter(state: QuantumState, particle: str, stage: int) -> QuantumState:
     """Apply one splitter to one particle; the gamma amplitude is untouched.
 
-    Stage 1 rotates the particle's (u, v) amplitudes in place; stage 2
-    sends (u, v) through the matrix onto the detector arms (c, d) while
+    Stage 1 mixes the particle's (u, v) amplitudes in place; stage 2
+    sends (u, v) through the splitter onto the detector arms (c, d) while
     the previous (c, d) amplitudes swap back onto (u, v), keeping the
     whole map unitary for arbitrary states.
     """
@@ -226,7 +194,7 @@ def apply_beam_splitter(
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage!r}")
     amps = state._amps[:, None].copy()
-    _split(amps, convention.matrix, slot, stage)
+    _split(amps, slot, stage)
     return QuantumState(amps[:, 0])
 
 
@@ -277,21 +245,17 @@ class OutcomeDistribution:
 _STAGES = ((0, 1), (1, 1), None, (0, 2), (1, 2))
 
 
-def pipeline_stages(convention: BeamSplitterConvention) -> Iterable:
+def pipeline_stages() -> Iterable:
     """The five stage maps of the experiment, in order."""
 
     def splitter(slot: int, stage: int):
-        return partial(
-            apply_beam_splitter, particle=_PARTICLES[slot], stage=stage, convention=convention
-        )
+        return partial(apply_beam_splitter, particle=_PARTICLES[slot], stage=stage)
 
     return tuple(apply_annihilation if stage is None else splitter(*stage) for stage in _STAGES)
 
 
-def max_norm_drift(
-    convention: BeamSplitterConvention, rng: random.Random, trials: int
-) -> float:
-    """Worst |norm - 1| after each stage, over ``trials`` random states.
+def max_norm_drift(rng: random.Random, trials: int) -> float:
+    """Worst |norm - 1| after each of the five stages, over ``trials`` random states.
 
     The states are those of ``trials`` successive
     ``random_two_particle_state(rng)`` calls: normalized draws from a cube,
@@ -307,7 +271,7 @@ def max_norm_drift(
             if stage is None:
                 _annihilate(amps)
             else:
-                _split(amps, convention.matrix, *stage)
+                _split(amps, *stage)
             # vecdot conjugates its first argument and, on contiguous
             # states, sums in np.vdot's order.
             states = np.ascontiguousarray(amps.T)
@@ -316,17 +280,16 @@ def max_norm_drift(
     return worst
 
 
-def run_double_mzi(convention: BeamSplitterConvention | None = None) -> OutcomeDistribution:
-    """Run the full experiment and return the outcome distribution.
+def run_double_mzi() -> OutcomeDistribution:
+    """Run the full experiment, with Hardy's balanced splitters, and return its outcomes.
 
     Both particles enter on the arm that feeds the overlap region; the
     (u, u) configuration after the first splitters is diverted to the
     gamma channel; the survivors meet their second splitters and are
     read out on the (c, d) detector pairs.
     """
-    conv = DEFAULT_CONVENTION if convention is None else convention
     state = QuantumState.basis_state(("u", "u"))
-    for stage in pipeline_stages(conv):
+    for stage in pipeline_stages():
         state = stage(state)
     probs = state.probabilities()
     pairs = {

@@ -250,10 +250,10 @@ def test_criterion_6_quantum_oracle():
         and abs(dist.p_gamma - 0.25) <= TOL
         and abs(dist.total - 1.0) <= TOL
     )
-    from hardysets.quantum import DEFAULT_CONVENTION, pipeline_stages, random_two_particle_state
+    from hardysets.quantum import pipeline_stages, random_two_particle_state
 
     rng = random.Random(42)
-    stages = pipeline_stages(DEFAULT_CONVENTION)
+    stages = pipeline_stages()
     worst = 0.0
     for _ in range(1000):
         state = random_two_particle_state(rng)

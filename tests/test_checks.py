@@ -272,19 +272,30 @@ def test_check_outcome_fail_asks_to_stop_from_the_fifth_failure():
     assert out.lines[1:] == [f"FAIL law {i}" for i in range(1, 7)]
 
 
-def test_quantum_drift_line_fails_when_annihilation_loses_amplitude(monkeypatch):
-    # The sweep's annihilation kernel drops the (u, u) amplitude instead of
-    # moving it to gamma. The headline values come from the real oracle, run
-    # before the patch, so only the drift line can fail.
+def assert_only_the_drift_line_fails(monkeypatch, name, fault):
+    """``check_quantum`` with ``quantum.<name>`` replaced by ``fault`` in the sweep.
+
+    The headline values come from the real oracle, run before the patch,
+    so only the drift line can fail.
+    """
     dist = quantum.run_double_mzi()
     monkeypatch.setattr(checks, "run_double_mzi", lambda: dist)
-
-    def lossy(amps):
-        amps[quantum._UU] = 0.0
-
-    monkeypatch.setattr(quantum, "_annihilate", lossy)
+    monkeypatch.setattr(quantum, name, fault)
     out = checks.check_quantum(seed=42, trials=100)
     failed = [line for line in out.lines if line.startswith("FAIL ")]
     assert len(failed) == 1
     assert failed[0].startswith(
         "FAIL norm drift <= 1e-12 across stages for 100 random states (worst ")
+
+
+def test_quantum_drift_line_fails_when_annihilation_loses_amplitude(monkeypatch):
+    # The sweep's annihilation kernel drops the (u, u) amplitude instead of
+    # moving it to gamma.
+    def lossy(amps):
+        amps[quantum._UU] = 0.0
+
+    assert_only_the_drift_line_fails(monkeypatch, "_annihilate", lossy)
+
+
+def test_quantum_drift_line_fails_when_a_splitter_is_not_unitary(monkeypatch):
+    assert_only_the_drift_line_fails(monkeypatch, "_SPLIT", quantum._SPLIT * (1 + 1e-9))

@@ -4,7 +4,8 @@ The files under ``golden/`` are the stdout of the commands named in
 each test. Every key of a machine report must match exactly, except the
 two floating-point quantum values, which are compared within 1e-12. A
 text report prints those values rounded to 12 digits and must match
-byte for byte.
+byte for byte. The machine report of ``quantum`` is compared as text,
+so it pins every bit of the oracle's six floats.
 """
 
 import json
@@ -61,3 +62,9 @@ def test_check_verbose_defaults_golden(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / "check-verbose-defaults.txt").read_text()
+
+
+def test_quantum_machine_golden(capsys):
+    code = main(["quantum", "--format", "machine"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / "quantum-machine.json").read_text()

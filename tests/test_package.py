@@ -110,9 +110,13 @@ def test_modules_are_attributes_of_a_fresh_package():
     assert fresh(code) == "True\n" * len(MODULES)
 
 
-@pytest.mark.parametrize("name", ["nope", "mass", "_MAX_EXHAUSTIVE_OMEGA"])
+@pytest.mark.parametrize("name", [
+    "nope", "mass", "_MAX_EXHAUSTIVE_OMEGA",
+    "BeamSplitterConvention", "DEFAULT_CONVENTION", "NonUnitaryConvention",
+])
 def test_unknown_name_raises_attribute_error(name):
-    # ``mass`` is public in hardysets.probability but not re-exported.
+    # ``mass`` is public in hardysets.probability but not re-exported; the
+    # last three were public until the oracle's splitter became a constant.
     with pytest.raises(AttributeError, match=f"^module 'hardysets' has no attribute '{name}'$"):
         getattr(hardysets, name)
 
